@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test vet fmt-check race fuzz bench bench-probe bench-suite bench-compare cluster-smoke cluster-demo loadgen-smoke alerts-smoke history-smoke verify clean
+.PHONY: all build test vet fmt-check race fuzz bench bench-probe cluster-smoke cluster-demo loadgen-smoke alerts-smoke history-smoke verify clean
 
 all: verify
 
@@ -21,9 +21,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Round-trip fuzzing of the trace codecs womd exposes to uploads.
+# Round-trip fuzzing of the trace codecs womd exposes to uploads, and of
+# segment replay over arbitrary bytes (resultstore and tsdb logs).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTrace -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/seglog/
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
@@ -32,17 +34,6 @@ bench:
 # instrumentation contract promises (compare against Counter/Ring).
 bench-probe:
 	$(GO) test -run=NONE -bench=Probe -benchmem ./internal/memctrl/
-
-# Standardized host-time suite (internal/perfmon): the fixed workload ×
-# architecture matrix, written as the next BENCH_<n>.json at the repo root.
-bench-suite:
-	$(GO) run ./cmd/womtool bench
-
-# Diff a fresh short-tier run against the committed BENCH_1.json pin.
-# Host timings are machine-dependent, so the default tolerance is wide;
-# CI runs this warn-only.
-bench-compare:
-	$(GO) run ./cmd/womtool bench -o /dev/null -compare BENCH_1.json -tol 0.5
 
 # End-to-end cluster check against real processes: coordinator + worker on
 # localhost, one job over the wire, asserted to have run on the worker.

@@ -14,8 +14,6 @@
 //	womtool regress -dir out/cache pin v1          # pin current results
 //	womtool regress -dir out/cache -tol 0.02 report v1  # per-metric deltas
 //	womtool regress -dir out/cache list            # pinned baselines
-//	womtool bench                                  # standardized host-time suite → BENCH_<n>.json
-//	womtool bench -compare BENCH_1.json -tol 0.25  # diff against a pinned report
 //	womtool report series.json -o report.html      # render womsim -series output
 //	womtool loadgen -mix mix.json -o report.json   # open-loop load run against womd
 //	womtool spans trace.json -o trace.html         # render a womd job trace waterfall
@@ -49,8 +47,6 @@ func main() {
 		searchCode(os.Args[2:])
 	case "regress":
 		regress(os.Args[2:])
-	case "bench":
-		bench(os.Args[2:])
 	case "report":
 		report(os.Args[2:])
 	case "loadgen":
@@ -67,7 +63,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: womtool table | verify | encode <2-bit values...> | bound <k...> | search <dataBits> <wits> | regress [-dir DIR] [-tol F] pin|report|list [name] | bench [-tier short|full] [-compare BASELINE] | report <series.json> [-o report.html] | loadgen -mix MIX [-url URL] [-o REPORT] | spans <trace.json> [-o spans.html] | top [-url URL] [-interval D] [-once] [-html FILE] | graph [-url URL] [-metrics M[:agg],...] [-window D] [-o FILE]")
+	fmt.Fprintln(os.Stderr, "usage: womtool table | verify | encode <2-bit values...> | bound <k...> | search <dataBits> <wits> | regress [-dir DIR] [-tol F] pin|report|list [name] | report <series.json> [-o report.html] | loadgen -mix MIX [-url URL] [-o REPORT] | spans <trace.json> [-o spans.html] | top [-url URL] [-interval D] [-once] [-html FILE] | graph [-url URL] [-metrics M[:agg],...] [-window D] [-o FILE]")
 	os.Exit(2)
 }
 

@@ -9,7 +9,7 @@
 //
 //	Span / JobRecord    per-job accounting via runtime/metrics deltas
 //	Poller              womd_runtime_* gauges for /metrics
-//	RunBench            the standardized BENCH_<n>.json suite (womtool bench)
+//	ProfileStore        pprof captures of slow jobs
 //
 // The disabled path follows the probe's contract: a nil *Span is inert —
 // every method is a nil check — and attaching a live event counter to a
@@ -41,7 +41,7 @@ const (
 )
 
 // JobRecord is one job's host-time performance accounting, attached to job
-// results (JobView.Perf) and serialized into BENCH entries.
+// results (JobView.Perf).
 type JobRecord struct {
 	// WallNs is the job's wall-clock duration.
 	WallNs int64 `json:"wall_ns"`
@@ -49,7 +49,7 @@ type JobRecord struct {
 	// stats.Run.Events); 0 when the job ran no simulations.
 	SimEvents int64 `json:"sim_events"`
 	// EventsPerSec is SimEvents per wall-clock second — the throughput
-	// figure the slow-job detector and the bench suite track.
+	// figure the slow-job detector tracks.
 	EventsPerSec float64 `json:"events_per_sec"`
 	// NsPerEvent is the inverse: host nanoseconds per simulated event.
 	NsPerEvent float64 `json:"ns_per_event"`

@@ -1,8 +1,8 @@
 // Package resultstore is the durable memoization layer of the simulation
 // service: a crash-safe, content-addressed store for experiment results.
 // Results are keyed by a canonical hash of (experiment name, normalized
-// sim.Params JSON, schema version) and persisted in an append-only segment
-// log with per-record CRC32 framing. The full index lives in memory and is
+// sim.Params JSON, schema version) and persisted as one JSON record per
+// frame in a seglog segment log. The full index lives in memory and is
 // rebuilt by replaying the log on open; a torn tail left by a crash is
 // truncated away, keeping every fully-written record. Named baselines —
 // flattened numeric snapshots of the store — ride in the same log and feed
@@ -10,39 +10,16 @@
 package resultstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"womcpcm/internal/seglog"
 	"womcpcm/internal/sim"
 )
-
-// Log format constants. Each segment is
-//
-//	[8-byte header "WOMRSv1\n"] followed by frames of
-//	[4-byte LE payload length][4-byte LE CRC32-IEEE of payload][payload]
-//
-// where the payload is one JSON-encoded record. Frames are appended only;
-// an update to a key simply appends a newer record, and replay keeps the
-// last one (last-writer-wins).
-const (
-	segHeader     = "WOMRSv1\n"
-	segPrefix     = "seg-"
-	segSuffix     = ".log"
-	frameOverhead = 8 // length + crc
-)
-
-// maxPayload rejects absurd frame lengths during replay so a corrupt length
-// field cannot trigger a multi-gigabyte allocation.
-const maxPayload = 64 << 20
 
 // Errors the store returns.
 var (
@@ -53,7 +30,7 @@ var (
 	// ErrCorrupt reports corruption in a non-final segment, which a crash
 	// cannot produce — the store refuses to guess and asks for operator
 	// attention instead of silently dropping interior history.
-	ErrCorrupt = errors.New("resultstore: corrupt interior segment")
+	ErrCorrupt = seglog.ErrCorrupt
 )
 
 // Entry is one stored result: the content key, the request that produced
@@ -138,9 +115,7 @@ type Store struct {
 	closed    bool
 	entries   map[string]*Entry
 	baselines map[string]*Baseline
-	seg       *os.File // active (last) segment, opened for append
-	segIndex  int
-	segSize   int64
+	seg       *seglog.Log
 }
 
 // Open creates dir if needed, replays every segment oldest-first to rebuild
@@ -148,151 +123,32 @@ type Store struct {
 // final segment open for append.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
 	s := &Store{
 		dir:       dir,
 		opts:      opts,
 		entries:   make(map[string]*Entry),
 		baselines: make(map[string]*Baseline),
 	}
-	segs, err := s.segmentList()
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) == 0 {
-		if err := s.openSegment(1); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	for i, idx := range segs {
-		final := i == len(segs)-1
-		if err := s.replaySegment(idx, final); err != nil {
-			return nil, err
-		}
-	}
-	last := segs[len(segs)-1]
-	f, err := os.OpenFile(s.segPath(last), os.O_WRONLY|os.O_APPEND, 0o644)
+	seg, err := seglog.Open(dir, seglog.Config{
+		Header:          "WOMRSv1\n",
+		Prefix:          "seg-",
+		MaxPayload:      64 << 20,
+		MaxSegmentBytes: opts.MaxSegmentBytes,
+	}, s.replay)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
-	s.seg, s.segIndex, s.segSize = f, last, st.Size()
+	s.seg = seg
 	return s, nil
 }
 
-// segPath names segment idx.
-func (s *Store) segPath(idx int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix))
-}
-
-// segmentList returns the segment indices present, sorted ascending.
-func (s *Store) segmentList() ([]int, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, segPrefix+"*"+segSuffix))
-	if err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
+// replay indexes one replayed record; later records win. An undecodable
+// payload is reported to seglog as a damaged frame.
+func (s *Store) replay(_ int, payload []byte) error {
+	var rec record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return err
 	}
-	var out []int
-	for _, name := range names {
-		base := filepath.Base(name)
-		var idx int
-		if _, err := fmt.Sscanf(base, segPrefix+"%08d"+segSuffix, &idx); err == nil {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// openSegment creates a fresh segment and makes it the append head.
-func (s *Store) openSegment(idx int) error {
-	f, err := os.OpenFile(s.segPath(idx), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if _, err := f.Write([]byte(segHeader)); err != nil {
-		f.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if s.seg != nil {
-		s.seg.Close()
-	}
-	s.seg, s.segIndex, s.segSize = f, idx, int64(len(segHeader))
-	return nil
-}
-
-// replaySegment loads one segment into the index. In the final segment any
-// malformed frame — short header, short payload, CRC mismatch, bad JSON,
-// absurd length — is treated as a torn tail: the file is truncated at the
-// last good frame and replay stops. The same damage in an earlier segment
-// is impossible under crash semantics (only the append head can tear), so
-// there it surfaces as ErrCorrupt.
-func (s *Store) replaySegment(idx int, final bool) error {
-	path := s.segPath(idx)
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	defer f.Close()
-
-	truncate := func(off int64, cause string) error {
-		if !final {
-			return fmt.Errorf("%w: %s at offset %d of %s", ErrCorrupt, cause, off, path)
-		}
-		return os.Truncate(path, off)
-	}
-
-	hdr := make([]byte, len(segHeader))
-	if _, err := io.ReadFull(f, hdr); err != nil || string(hdr) != segHeader {
-		// A segment torn inside its 8-byte header holds no records at all.
-		if err := truncate(0, "bad segment header"); err != nil {
-			return err
-		}
-		if final {
-			// Restore the header so the segment is appendable again.
-			return os.WriteFile(path, []byte(segHeader), 0o644)
-		}
-		return nil
-	}
-
-	off := int64(len(segHeader))
-	frame := make([]byte, frameOverhead)
-	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			if err == io.EOF {
-				return nil // clean end
-			}
-			return truncate(off, "torn frame header")
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxPayload {
-			return truncate(off, "implausible frame length")
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return truncate(off, "torn payload")
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return truncate(off, "crc mismatch")
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return truncate(off, "undecodable record")
-		}
-		s.apply(rec)
-		off += frameOverhead + int64(length)
-	}
-}
-
-// apply indexes one replayed record; later records win.
-func (s *Store) apply(rec record) {
 	switch {
 	case rec.Kind == "result" && rec.Entry != nil:
 		s.entries[rec.Entry.Key] = rec.Entry
@@ -301,31 +157,18 @@ func (s *Store) apply(rec record) {
 	}
 	// Unknown kinds are skipped, not fatal: a newer writer may add record
 	// types an older reader can safely ignore.
+	return nil
 }
 
-// append frames and writes one record, rotating segments past the size cap.
+// append encodes one record onto the log, syncing it if Options.Sync.
 func (s *Store) append(rec record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("resultstore: encoding record: %w", err)
 	}
-	if len(payload) > maxPayload {
-		return fmt.Errorf("resultstore: record of %d bytes exceeds %d-byte frame cap", len(payload), maxPayload)
-	}
-	need := int64(frameOverhead + len(payload))
-	if s.segSize+need > s.opts.MaxSegmentBytes && s.segSize > int64(len(segHeader)) {
-		if err := s.openSegment(s.segIndex + 1); err != nil {
-			return err
-		}
-	}
-	frame := make([]byte, frameOverhead+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameOverhead:], payload)
-	if _, err := s.seg.Write(frame); err != nil {
+	if _, err := s.seg.Append(payload); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	s.segSize += need
 	if s.opts.Sync {
 		if err := s.seg.Sync(); err != nil {
 			return fmt.Errorf("resultstore: %w", err)
@@ -463,13 +306,5 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.seg == nil {
-		return nil
-	}
-	err := s.seg.Sync()
-	if cerr := s.seg.Close(); err == nil {
-		err = cerr
-	}
-	s.seg = nil
-	return err
+	return s.seg.Close()
 }

@@ -106,7 +106,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	}
 	mustPut(t, s, "aaa", "fig5", 0.8)
 	mustPut(t, s, "bbb", "fig6", 0.9)
-	segPath := s.segPath(1)
+	segPath := s.seg.Path(1)
 	st, err := os.Stat(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +198,8 @@ func TestInteriorCorruption(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		mustPut(t, s, string(rune('a'+i)), "fig5", 0.8)
 	}
-	if s.segIndex < 2 {
-		t.Fatalf("expected rotation, still on segment %d", s.segIndex)
+	if head, _ := s.seg.Head(); head < 2 {
+		t.Fatalf("expected rotation, still on segment %d", head)
 	}
 	s.Close()
 
@@ -230,7 +230,7 @@ func TestSegmentRotation(t *testing.T) {
 		mustPut(t, s, string(rune('a'+i)), "fig5", float64(i))
 	}
 	s.Close()
-	segs, err := s.segmentList()
+	segs, err := s.seg.Segments()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +247,8 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	// New appends land in the last segment, not a fresh one.
 	mustPut(t, r, "zz", "fig6", 1)
-	if r.segIndex != segs[len(segs)-1] && r.segSize == 0 {
-		t.Errorf("append head wrong: seg %d size %d", r.segIndex, r.segSize)
+	if head, size := r.seg.Head(); head != segs[len(segs)-1] && size == 0 {
+		t.Errorf("append head wrong: seg %d size %d", head, size)
 	}
 }
 

@@ -4,37 +4,29 @@
 // holds recent samples in Gorilla-style compressed chunks, downsamples
 // them through retention tiers that preserve min/max/sum/count and
 // reset-aware counter increase, and persists sealed chunks, aggregate
-// buckets, and alert state transitions to CRC32-framed append-only
-// segments (the resultstore log format) so history and alert state
-// survive a restart.
+// buckets, and alert state transitions to a seglog segment log so
+// history and alert state survive a restart.
 package tsdb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"womcpcm/internal/seglog"
 )
 
-// Log format constants, mirroring resultstore: each segment is an 8-byte
-// header followed by frames of [4-byte LE length][4-byte LE CRC32-IEEE of
-// payload][JSON payload].
+// The history's segment log identity; each frame holds one JSON record.
 const (
-	segHeader     = "WOMTSv1\n"
-	segPrefix     = "hist-"
-	segSuffix     = ".log"
-	frameOverhead = 8
-	maxPayload    = 16 << 20
+	segHeader = "WOMTSv1\n"
+	segPrefix = "hist-"
 )
 
 var (
@@ -42,7 +34,7 @@ var (
 	ErrClosed = errors.New("tsdb: history closed")
 	// ErrCorrupt reports corruption in a non-final segment — damage a
 	// crash cannot produce, so it is surfaced instead of truncated away.
-	ErrCorrupt = errors.New("tsdb: corrupt interior segment")
+	ErrCorrupt = seglog.ErrCorrupt
 )
 
 // Point is one raw sample. T is unix milliseconds.
@@ -252,10 +244,8 @@ type DB struct {
 	closed bool
 	series map[string]*series
 
-	seg      *os.File
-	segIndex int
-	segSize  int64
-	segMaxT  map[int]int64 // newest record time per segment, for GC
+	seg     *seglog.Log   // nil keeps history in memory only
+	segMaxT map[int]int64 // newest record time per segment, for GC
 
 	transitions  []Transition
 	activeAlerts map[string]Transition
@@ -308,141 +298,32 @@ func Open(opts Options) (*DB, error) {
 	if opts.Dir == "" {
 		return db, nil
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	seg, err := seglog.Open(opts.Dir, seglog.Config{
+		Header:          segHeader,
+		Prefix:          segPrefix,
+		MaxPayload:      16 << 20,
+		MaxSegmentBytes: opts.MaxSegmentBytes,
+	}, db.applyReplay)
+	if err != nil {
 		return nil, fmt.Errorf("tsdb: %w", err)
 	}
-	segs, err := db.segmentList()
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) == 0 {
-		if err := db.openSegment(1); err != nil {
-			return nil, err
-		}
-		return db, nil
-	}
-	for i, idx := range segs {
-		if err := db.replaySegment(idx, i == len(segs)-1); err != nil {
-			return nil, err
-		}
-	}
+	db.seg = seg
 	db.finishReplay()
-	last := segs[len(segs)-1]
-	f, err := os.OpenFile(db.segPath(last), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("tsdb: %w", err)
-	}
-	db.seg, db.segIndex, db.segSize = f, last, st.Size()
 	return db, nil
 }
 
-func (db *DB) segPath(idx int) string {
-	return filepath.Join(db.opts.Dir, fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix))
-}
-
-func (db *DB) segmentList() ([]int, error) {
-	names, err := filepath.Glob(filepath.Join(db.opts.Dir, segPrefix+"*"+segSuffix))
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: %w", err)
-	}
-	var out []int
-	for _, name := range names {
-		var idx int
-		if _, err := fmt.Sscanf(filepath.Base(name), segPrefix+"%08d"+segSuffix, &idx); err == nil {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-func (db *DB) openSegment(idx int) error {
-	f, err := os.OpenFile(db.segPath(idx), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	if _, err := f.Write([]byte(segHeader)); err != nil {
-		f.Close()
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	if db.seg != nil {
-		db.seg.Close()
-	}
-	db.seg, db.segIndex, db.segSize = f, idx, int64(len(segHeader))
-	return nil
-}
-
-// replaySegment loads one segment. Any malformed frame in the final
-// segment is a torn tail left by a crash: truncate at the last good frame
-// and stop. The same damage in an interior segment is ErrCorrupt.
-func (db *DB) replaySegment(idx int, final bool) error {
-	path := db.segPath(idx)
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	defer f.Close()
-
-	truncate := func(off int64, cause string) error {
-		if !final {
-			return fmt.Errorf("%w: %s at offset %d of %s", ErrCorrupt, cause, off, path)
-		}
-		return os.Truncate(path, off)
-	}
-
-	hdr := make([]byte, len(segHeader))
-	if _, err := io.ReadFull(f, hdr); err != nil || string(hdr) != segHeader {
-		if err := truncate(0, "bad segment header"); err != nil {
-			return err
-		}
-		if final {
-			return os.WriteFile(path, []byte(segHeader), 0o644)
-		}
-		return nil
-	}
-
-	off := int64(len(segHeader))
-	frame := make([]byte, frameOverhead)
-	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return truncate(off, "torn frame header")
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxPayload {
-			return truncate(off, "implausible frame length")
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return truncate(off, "torn payload")
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return truncate(off, "crc mismatch")
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return truncate(off, "undecodable record")
-		}
-		db.applyReplay(idx, rec)
-		off += frameOverhead + int64(length)
-	}
-}
-
 // applyReplay indexes one replayed record. Unknown kinds are skipped, not
-// fatal, so a newer writer's records do not brick an older reader.
-func (db *DB) applyReplay(segIdx int, rec record) {
+// fatal, so a newer writer's records do not brick an older reader; an
+// undecodable payload is reported to seglog as a damaged frame.
+func (db *DB) applyReplay(segIdx int, payload []byte) error {
+	var rec record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return err
+	}
 	switch rec.Kind {
 	case "chunk":
 		if len(rec.Data) == 0 || rec.Samples <= 0 {
-			return
+			return nil
 		}
 		s := db.getSeries(rec.Metric, rec.Labels)
 		s.sealed = append(s.sealed, sealedChunk{
@@ -451,7 +332,7 @@ func (db *DB) applyReplay(segIdx int, rec record) {
 		db.noteSegTime(segIdx, rec.End)
 	case "agg":
 		if rec.StepMs <= 0 || len(rec.Points) == 0 {
-			return
+			return nil
 		}
 		s := db.getSeries(rec.Metric, rec.Labels)
 		for _, a := range db.aggsFor(s) {
@@ -463,11 +344,12 @@ func (db *DB) applyReplay(segIdx int, rec record) {
 		}
 	case "alert":
 		if rec.Transition == nil {
-			return
+			return nil
 		}
 		db.applyTransition(*rec.Transition)
 		db.noteSegTime(segIdx, rec.Transition.At.UnixMilli())
 	}
+	return nil
 }
 
 func (db *DB) noteSegTime(idx int, t int64) {
@@ -826,11 +708,12 @@ func (db *DB) gcSegmentsLocked(now time.Time) {
 		}
 	}
 	cut := now.Add(-maxRet).UnixMilli()
+	head, _ := db.seg.Head()
 	for idx, maxT := range db.segMaxT {
-		if idx == db.segIndex || maxT >= cut {
+		if idx == head || maxT >= cut {
 			continue
 		}
-		if err := os.Remove(db.segPath(idx)); err != nil {
+		if err := db.seg.Remove(idx); err != nil {
 			db.log.Error("history: removing expired segment", "segment", idx, "err", err)
 			continue
 		}
@@ -838,31 +721,18 @@ func (db *DB) gcSegmentsLocked(now time.Time) {
 	}
 }
 
-// appendRecord frames and writes one record, rotating segments past the
-// size cap.
+// appendRecord encodes one record onto the log and notes maxT against the
+// segment it landed in.
 func (db *DB) appendRecord(rec record, maxT int64) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if len(payload) > maxPayload {
-		return fmt.Errorf("tsdb: record of %d bytes exceeds %d-byte frame cap", len(payload), maxPayload)
-	}
-	need := int64(frameOverhead + len(payload))
-	if db.segSize+need > db.opts.MaxSegmentBytes && db.segSize > int64(len(segHeader)) {
-		if err := db.openSegment(db.segIndex + 1); err != nil {
-			return err
-		}
-	}
-	frame := make([]byte, frameOverhead+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameOverhead:], payload)
-	if _, err := db.seg.Write(frame); err != nil {
+	idx, err := db.seg.Append(payload)
+	if err != nil {
 		return err
 	}
-	db.segSize += need
-	db.noteSegTime(db.segIndex, maxT)
+	db.noteSegTime(idx, maxT)
 	return nil
 }
 
@@ -900,12 +770,7 @@ func (db *DB) Close() error {
 	if db.seg == nil {
 		return nil
 	}
-	err := db.seg.Sync()
-	if cerr := db.seg.Close(); err == nil {
-		err = cerr
-	}
-	db.seg = nil
-	return err
+	return db.seg.Close()
 }
 
 // Enabled reports whether history exists (false on nil), so callers can

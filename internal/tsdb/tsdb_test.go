@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -274,8 +275,10 @@ func TestRestartContinuity(t *testing.T) {
 }
 
 // TestTornTailEveryOffset truncates the final segment at every byte
-// offset; every truncation must open cleanly (the torn tail is cut off)
-// and leave an appendable store — the resultstore crash contract.
+// offset; every truncation must open cleanly (the torn tail is cut off),
+// still return every record whose frame ends at or before the cut and none
+// after it, and leave an appendable store — the resultstore crash
+// contract.
 func TestTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
@@ -292,7 +295,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v %v", segs, err)
 	}
@@ -303,6 +306,74 @@ func TestTornTailEveryOffset(t *testing.T) {
 	}
 	if len(full) <= len(segHeader) {
 		t.Fatalf("segment only %d bytes", len(full))
+	}
+
+	// Every frame in the log, with the offset its frame ends at within its
+	// segment.
+	type framed struct {
+		seg string
+		end int
+		rec record
+	}
+	var frames []framed
+	kinds := map[string]int{}
+	for _, s := range segs {
+		data, err := os.ReadFile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := len(segHeader); off < len(data); {
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			var rec record
+			if err := json.Unmarshal(data[off+8:off+8+n], &rec); err != nil {
+				t.Fatal(err)
+			}
+			off += 8 + n
+			frames = append(frames, framed{seg: s, end: off, rec: rec})
+			kinds[rec.Kind]++
+		}
+	}
+	if kinds["chunk"] < 2 || kinds["agg"] < 2 || kinds["alert"] != 1 {
+		t.Fatalf("log holds %v records, want chunks, aggregates and one alert", kinds)
+	}
+	// returned reports whether db serves rec's data. Aggregates are matched
+	// on their minimum: the sample appended after recovery (99, above every
+	// scraped value) lands in the same buckets as the last scraped ones.
+	returned := func(db *DB, rec record) bool {
+		switch rec.Kind {
+		case "chunk":
+			n := len(db.RawSamples(rec.Metric, rec.Labels, rec.Start, rec.End))
+			if n != 0 && n != rec.Samples {
+				t.Fatalf("chunk [%d,%d] partly returned: %d of %d samples", rec.Start, rec.End, n, rec.Samples)
+			}
+			return n != 0
+		case "agg":
+			found := 0
+			for _, p := range rec.Points {
+				res, err := db.QueryRange(RangeQuery{
+					Metric: rec.Metric, Match: rec.Labels, Agg: "min",
+					StartMs: p.T + rec.StepMs, EndMs: p.T + rec.StepMs + 1, StepMs: rec.StepMs,
+					TierStep: time.Duration(rec.StepMs) * time.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res) == 1 && len(res[0].Points) == 1 && res[0].Points[0].V == p.Min {
+					found++
+				}
+			}
+			if found != 0 && found != len(rec.Points) {
+				t.Fatalf("aggregate record partly returned: %d of %d points", found, len(rec.Points))
+			}
+			return found != 0
+		default:
+			for _, tr := range db.AlertHistory(time.Time{}, time.Time{}, 0) {
+				if tr.Key == rec.Transition.Key && tr.At.Equal(rec.Transition.At) && tr.To == rec.Transition.To {
+					return true
+				}
+			}
+			return false
+		}
 	}
 
 	for off := 0; off <= len(full); off++ {
@@ -319,13 +390,23 @@ func TestTornTailEveryOffset(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		check := func(db *DB, stage string) {
+			for _, f := range frames {
+				kept := f.seg != seg || f.end <= off
+				if got := returned(db, f.rec); got != kept {
+					t.Fatalf("offset %d, %s: %s record ending at %d returned=%v, want %v", off, stage, f.rec.Kind, f.end, got, kept)
+				}
+			}
+		}
 		db2 := openTestDB(t, tdir, clk)
+		check(db2, "open")
 		db2.Append("womd_torn_total", nil, clk.Now().UnixMilli()+int64(off)+1, 99)
 		if err := db2.Close(); err != nil {
 			t.Fatalf("offset %d: close: %v", off, err)
 		}
 		// The recovered store must reopen cleanly after the new append.
 		db3 := openTestDB(t, tdir, clk)
+		check(db3, "reopen")
 		if err := db3.Close(); err != nil {
 			t.Fatalf("offset %d: reopen: %v", off, err)
 		}
@@ -348,7 +429,7 @@ func TestInteriorCorruptionRefuses(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	segs, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*.log"))
 	if len(segs) < 2 {
 		t.Fatalf("want multiple segments, got %d", len(segs))
 	}
@@ -448,13 +529,13 @@ func TestRetentionPruneAndSegmentGC(t *testing.T) {
 	nseg := len(db.segMaxT)
 	db.mu.Unlock()
 
-	segs, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	segs, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*.log"))
 	if len(segs) != nseg {
 		t.Fatalf("on-disk segments %d != tracked %d", len(segs), nseg)
 	}
 	// 50 minutes of history at a 10-minute max retention with 2 KiB
 	// segments: GC must have removed early segments.
-	if len(segs) == 0 || strings.Contains(segs[0], fmt.Sprintf("%s%08d%s", segPrefix, 1, segSuffix)) {
+	if len(segs) == 0 || strings.Contains(segs[0], fmt.Sprintf("%s%08d.log", segPrefix, 1)) {
 		t.Fatalf("segment GC never ran: %v", segs)
 	}
 }
