@@ -21,11 +21,13 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Round-trip fuzzing of the trace codecs womd exposes to uploads, and of
-# segment replay over arbitrary bytes (resultstore and tsdb logs).
+# Round-trip fuzzing of the trace codecs womd exposes to uploads, of
+# segment replay over arbitrary bytes (resultstore and tsdb logs), and of
+# the exposition parser federation runs on worker /metrics text.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTrace -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/seglog/
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/metrics/
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .

@@ -55,8 +55,8 @@
 // draining or queue-saturated — and in a cluster each worker's readiness
 // rides its heartbeats so the coordinator routes around not-ready workers.
 //
-// Metric history is on by default (-history): an embedded TSDB self-scrapes
-// the process's full /metrics exposition every -history-scrape interval
+// Metric history is on by default (-history): an embedded TSDB records
+// every metric family /metrics serves each -history-scrape interval
 // into Gorilla-compressed chunks, downsamples them through retention tiers
 // (-history-retention, default raw 5s for 1h, 1m buckets for 24h, 10m for
 // 7d) that preserve min/max/sum/count and reset-aware counter increase,
@@ -499,42 +499,44 @@ func main() {
 		}
 	}
 
+	// Collectors register in /metrics order: runtime, alerts, spans,
+	// cluster (with the federated fleet), tenants, history.
 	opts := []engine.ServerOption{engine.WithLogger(logger)}
+	if *pollEvery > 0 {
+		poller := perfmon.NewPoller(*pollEvery)
+		poller.Start()
+		defer poller.Stop()
+		opts = append(opts, engine.WithCollector(poller.Collect))
+	}
 	if alertEngine != nil {
 		opts = append(opts,
 			engine.WithAlerts(alertEngine),
-			engine.WithPromAppender(alertEngine.WriteProm))
+			engine.WithCollector(alertEngine.Collect))
 	}
 	if tracer != nil {
-		opts = append(opts, engine.WithPromAppender(tracer.WriteProm))
+		opts = append(opts, engine.WithCollector(tracer.Collect))
 	}
 	if coord != nil {
-		opts = append(opts, engine.WithPromAppender(coord.WriteProm))
+		opts = append(opts, engine.WithCollector(coord.Collect))
 	}
 	if scheduler != nil {
-		opts = append(opts, engine.WithPromAppender(scheduler.WriteProm))
+		opts = append(opts, engine.WithCollector(scheduler.Collect))
 	}
 	if histDB != nil {
 		opts = append(opts,
 			engine.WithHistory(histDB),
-			engine.WithPromAppender(histDB.WriteProm))
+			engine.WithCollector(histDB.Collect))
 	}
 	if *debug {
 		opts = append(opts, engine.WithDebug())
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	if *pollEvery > 0 {
-		poller := perfmon.NewPoller(*pollEvery)
-		poller.Start()
-		defer poller.Stop()
-		opts = append(opts, engine.WithRuntimeMetrics(poller))
-	}
 	apiServer := engine.NewServer(mgr, opts...)
-	// The scrape source is the server's own full exposition — service
-	// counters plus every registered appender (cluster, fleet federation,
-	// alerts, the history store's own gauges) — so everything /metrics
-	// shows is also everything history records.
-	histDB.Start(apiServer.WriteProm)
+	// History records the server's own collected families — service
+	// counters plus every collector (cluster, fleet federation, alerts,
+	// the history store's own gauges) — so everything /metrics shows is
+	// also everything history records.
+	histDB.Start(apiServer.Collect)
 	var httpHandler http.Handler = apiServer
 	if coord != nil || agent != nil {
 		mux := http.NewServeMux()

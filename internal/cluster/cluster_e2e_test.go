@@ -89,7 +89,7 @@ func newTestCluster(t *testing.T, ccfg Config, ecfg engine.Config) *testCluster 
 	mux := http.NewServeMux()
 	mux.Handle("/cluster/v1/", coord.Handler())
 	mux.HandleFunc("GET /v1/fleet", coord.HandleFleet)
-	mux.Handle("/", engine.NewServer(mgr, engine.WithPromAppender(coord.WriteProm)))
+	mux.Handle("/", engine.NewServer(mgr, engine.WithCollector(coord.Collect)))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(func() {
 		ts.Close()
@@ -130,7 +130,7 @@ func (tc *testCluster) addWorker(name string) *testWorker {
 	}, mgr)
 	mux.Handle("/cluster/v1/", agent.Handler())
 	// The worker's own engine API — federation scrapes its /metrics.
-	mux.Handle("/", engine.NewServer(mgr, engine.WithPromAppender(wrec.WriteProm)))
+	mux.Handle("/", engine.NewServer(mgr, engine.WithCollector(wrec.Collect)))
 	before := tc.coord.liveWorkers()
 	if err := agent.Start(); err != nil {
 		ts.Close()

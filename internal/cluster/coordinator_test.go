@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"womcpcm/internal/engine"
+	"womcpcm/internal/metrics"
 	"womcpcm/internal/sim"
 )
 
@@ -94,7 +95,7 @@ func TestEvictionOnHeartbeatTimeout(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", got)
 	}
 	var prom bytes.Buffer
-	coord.WriteProm(&prom)
+	metrics.Write(&prom, coord.Collect())
 	if !strings.Contains(prom.String(), "womd_cluster_evictions_total 1") {
 		t.Errorf("WriteProm missing eviction counter:\n%s", prom.String())
 	}

@@ -4,11 +4,12 @@ package cluster
 // registered worker's GET /metrics, keeps the womd_* families, renames
 // them womd_fleet_* and stamps every sample with an instance="<worker id>"
 // label, then re-exposes the merged result on its own /metrics (appended
-// by Coordinator.WriteProm) plus a summarized JSON view on GET /v1/fleet.
-// The rename keeps the coordinator's own womd_* families collision-free,
-// and the strict exposition rule (one TYPE header per family, never
-// without samples) holds because each federated family is emitted once
-// with the samples of every instance under it.
+// by Coordinator.Collect) plus a summarized JSON view on GET /v1/fleet.
+// Each worker's text is read once with metrics.Parse; the merge works on
+// the parsed families. The rename keeps the coordinator's own womd_*
+// families collision-free, and the strict exposition rule (one TYPE
+// header per family, never without samples) holds because each federated
+// family is emitted once with the samples of every instance under it.
 
 import (
 	"context"
@@ -19,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"womcpcm/internal/metrics"
 )
 
 // scrapeTimeout bounds one worker /metrics fetch; a wedged worker must not
@@ -29,19 +32,12 @@ const scrapeTimeout = 5 * time.Second
 // KiB; anything near the cap is a misconfigured endpoint, not metrics.
 const scrapeBodyLimit = 4 << 20
 
-// fleetFamily is one merged metric family across instances. Immutable once
-// installed into federated.families — a pass builds a fresh map and swaps
-// it in, so readers can render outside the lock.
-type fleetFamily struct {
-	help    string
-	typ     string
-	samples []string // fully rendered lines, instance label applied
-}
-
 // federated holds the result of the coordinator's last scrape pass.
 type federated struct {
-	mu        sync.Mutex
-	families  map[string]*fleetFamily
+	mu sync.Mutex
+	// families are the merged fleet families in name order; immutable once
+	// installed — a pass builds a fresh slice and swaps it in.
+	families  []metrics.Family
 	instances int       // workers scraped successfully in the last pass
 	errors    uint64    // cumulative failed scrapes
 	last      time.Time // when the last pass finished (zero: none yet)
@@ -75,7 +71,7 @@ func (c *Coordinator) FederateOnce(ctx context.Context) {
 	c.mu.Unlock()
 	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
 
-	fams := make(map[string]*fleetFamily)
+	merged := make(map[string]*metrics.Family)
 	up := 0
 	var errs uint64
 	for _, t := range targets {
@@ -86,8 +82,14 @@ func (c *Coordinator) FederateOnce(ctx context.Context) {
 			continue
 		}
 		up++
-		mergeFleetFamilies(fams, body, t.id)
+		parsed, _ := metrics.Parse(body) // unreadable worker lines are skipped
+		mergeFleetFamilies(merged, parsed, t.id)
 	}
+	fams := make([]metrics.Family, 0, len(merged))
+	for _, f := range merged {
+		fams = append(fams, *f)
+	}
+	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
 	c.fed.mu.Lock()
 	c.fed.families = fams
 	c.fed.instances = up
@@ -130,115 +132,50 @@ func fleetName(name string) (string, bool) {
 	return "womd_fleet_" + name[len("womd_"):], true
 }
 
-// mergeFleetFamilies folds one instance's exposition into fams. The parse
-// leans on the repo's own exposition convention (HELP then TYPE headers,
-// immediately followed by the family's samples): samples are attributed to
-// the most recent header, which also covers histogram series whose sample
-// names extend the family name (_bucket, _sum, _count).
-func mergeFleetFamilies(fams map[string]*fleetFamily, body, instance string) {
-	var cur *fleetFamily
-	var curBase string // original womd_* name of cur
-	header := func(name string) *fleetFamily {
-		fn, ok := fleetName(name)
+// mergeFleetFamilies folds one instance's parsed families into fams:
+// each womd_* family is renamed into the fleet namespace and every sample
+// gains an instance label. The first instance to supply a HELP or TYPE
+// wins.
+func mergeFleetFamilies(fams map[string]*metrics.Family, parsed []metrics.Family, instance string) {
+	for _, f := range parsed {
+		name, ok := fleetName(f.Name)
 		if !ok {
-			cur, curBase = nil, ""
-			return nil
+			continue
 		}
-		fam := fams[fn]
+		fam := fams[name]
 		if fam == nil {
-			fam = &fleetFamily{}
-			fams[fn] = fam
+			fam = &metrics.Family{Name: name}
+			fams[name] = fam
 		}
-		cur, curBase = fam, name
-		return fam
-	}
-	for _, line := range strings.Split(body, "\n") {
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			name, help, _ := strings.Cut(line[len("# HELP "):], " ")
-			if fam := header(name); fam != nil && fam.help == "" {
-				fam.help = help
-			}
-		case strings.HasPrefix(line, "# TYPE "):
-			name, typ, _ := strings.Cut(line[len("# TYPE "):], " ")
-			if fam := header(name); fam != nil && fam.typ == "" {
-				fam.typ = typ
-			}
-		case line == "" || strings.HasPrefix(line, "#"):
-			// comment or blank: family context unchanged
-		default:
-			if cur == nil {
-				continue // family was skipped; skip its samples too
-			}
-			name := line
-			if i := strings.IndexAny(line, "{ "); i >= 0 {
-				name = line[:i]
-			}
-			if !strings.HasPrefix(name, curBase) {
-				continue // stray sample with no preceding header
-			}
-			cur.samples = append(cur.samples, fleetSampleLine(line, name, instance))
+		if fam.Help == "" {
+			fam.Help = f.Help
+		}
+		if fam.Type == "" {
+			fam.Type = f.Type
+		}
+		for _, s := range f.Samples {
+			s.Labels = append(s.Labels, metrics.Label{Name: "instance", Value: instance})
+			fam.Samples = append(fam.Samples, s)
 		}
 	}
 }
 
-// fleetSampleLine renames one sample line into the womd_fleet_ namespace
-// and appends the instance label. The closing brace is located from the
-// right: label values may contain '}', but the value after the label set
-// never does.
-func fleetSampleLine(line, name, instance string) string {
-	fleet := "womd_fleet_" + name[len("womd_"):]
-	rest := line[len(name):]
-	if strings.HasPrefix(rest, "{") {
-		i := strings.LastIndex(rest, "}")
-		if i < 0 {
-			return fleet + rest // malformed; pass through renamed
-		}
-		return fleet + rest[:i] + `,instance="` + instance + `"` + rest[i:]
-	}
-	return fleet + `{instance="` + instance + `"}` + rest
-}
-
-// writeFederated renders the merged fleet families plus the federation
-// meta-metrics. Families that gathered no samples are skipped so a TYPE
-// header never appears bare.
-func (c *Coordinator) writeFederated(w io.Writer) {
+// federatedFamilies returns the federation meta-metrics, then the merged
+// fleet families in name order.
+func (c *Coordinator) federatedFamilies() []metrics.Family {
 	c.fed.mu.Lock()
-	instances, errors, last := c.fed.instances, c.fed.errors, c.fed.last
-	names := make([]string, 0, len(c.fed.families))
-	fams := make([]*fleetFamily, 0, len(c.fed.families))
-	for name, fam := range c.fed.families {
-		if len(fam.samples) > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fams = append(fams, c.fed.families[name])
-	}
+	instances, errors, last, fleet := c.fed.instances, c.fed.errors, c.fed.last, c.fed.families
 	c.fed.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP womd_fleet_instances Workers scraped successfully in the last federation pass.\n"+
-		"# TYPE womd_fleet_instances gauge\nwomd_fleet_instances %d\n", instances)
-	fmt.Fprintf(w, "# HELP womd_fleet_scrape_errors_total Failed worker /metrics scrapes.\n"+
-		"# TYPE womd_fleet_scrape_errors_total counter\nwomd_fleet_scrape_errors_total %d\n", errors)
+	fams := []metrics.Family{
+		metrics.Gauge("womd_fleet_instances", "Workers scraped successfully in the last federation pass.",
+			float64(instances)),
+		metrics.Counter("womd_fleet_scrape_errors_total", "Failed worker /metrics scrapes.", float64(errors)),
+	}
 	if !last.IsZero() {
-		fmt.Fprintf(w, "# HELP womd_fleet_scrape_age_seconds Time since the last federation pass.\n"+
-			"# TYPE womd_fleet_scrape_age_seconds gauge\nwomd_fleet_scrape_age_seconds %g\n",
-			c.now().Sub(last).Seconds())
+		fams = append(fams, metrics.Gauge("womd_fleet_scrape_age_seconds",
+			"Time since the last federation pass.", c.now().Sub(last).Seconds()))
 	}
-	for i, name := range names {
-		fam := fams[i]
-		if fam.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", name, fam.help)
-		}
-		if fam.typ != "" {
-			fmt.Fprintf(w, "# TYPE %s %s\n", name, fam.typ)
-		}
-		for _, s := range fam.samples {
-			fmt.Fprintln(w, s)
-		}
-	}
+	return append(fams, fleet...)
 }
 
 // FleetWorkerView is one worker in GET /v1/fleet: identity plus the load

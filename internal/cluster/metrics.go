@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
+
+	"womcpcm/internal/metrics"
 )
 
 // Dispatch outcomes for womd_cluster_dispatch_total.
@@ -17,7 +16,7 @@ const (
 )
 
 // clusterMetrics aggregates the coordinator's fleet counters, exported as
-// the womd_cluster_* Prometheus families via Coordinator.WriteProm.
+// the womd_cluster_* Prometheus families via Coordinator.Collect.
 type clusterMetrics struct {
 	Requeues  atomic.Uint64 // jobs re-routed after a worker failure/eviction
 	Steals    atomic.Uint64 // queued jobs stolen back for rebalancing
@@ -38,83 +37,56 @@ func (m *clusterMetrics) CountDispatch(worker, outcome string) {
 	m.mu.Unlock()
 }
 
-// writeDispatch renders the labeled dispatch family. The HELP/TYPE header is
-// emitted only alongside samples, matching the repo's exposition convention.
-func (m *clusterMetrics) writeDispatch(w io.Writer) {
+// dispatchFamily builds the labeled dispatch family, ordered by worker
+// then outcome.
+func (m *clusterMetrics) dispatchFamily() metrics.Family {
+	fam := metrics.Family{Name: "womd_cluster_dispatch_total", Type: "counter",
+		Help: "Job dispatches by worker and outcome."}
 	m.mu.Lock()
-	keys := make([][2]string, 0, len(m.dispatch))
-	for k := range m.dispatch {
-		keys = append(keys, k)
-	}
-	counts := make([]uint64, len(keys))
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for i, k := range keys {
-		counts[i] = m.dispatch[k]
+	for k, n := range m.dispatch {
+		fam.Samples = append(fam.Samples, metrics.Sample{
+			Labels: metrics.Labels("worker", k[0], "outcome", k[1]), Value: float64(n)})
 	}
 	m.mu.Unlock()
-	if len(keys) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP womd_cluster_dispatch_total Job dispatches by worker and outcome.\n"+
-		"# TYPE womd_cluster_dispatch_total counter\n")
-	for i, k := range keys {
-		fmt.Fprintf(w, "womd_cluster_dispatch_total{worker=%q,outcome=%q} %d\n", k[0], k[1], counts[i])
-	}
+	metrics.SortByLabels(fam.Samples)
+	return fam
 }
 
-// WriteProm exports the coordinator's cluster families: the fleet gauge (by
-// state), per-worker heartbeat age, and the dispatch/requeue/steal/eviction
-// counters. Installed on the engine server via engine.WithPromAppender.
-func (c *Coordinator) WriteProm(w io.Writer) {
-	type workerStat struct {
-		id       string
-		ageMs    int64
-		draining bool
-	}
+// Collect returns the coordinator's cluster families — the fleet gauge
+// (by state), per-worker heartbeat age, the dispatch/requeue/steal/
+// eviction counters — then the federated fleet families. Installed on
+// the engine server via engine.WithCollector.
+func (c *Coordinator) Collect() []metrics.Family {
+	var active, draining float64
+	age := metrics.Family{Name: "womd_cluster_heartbeat_age_seconds", Type: "gauge",
+		Help: "Time since each worker's last heartbeat."}
 	c.mu.Lock()
-	stats := make([]workerStat, 0, len(c.workers))
 	for _, ws := range c.workers {
-		stats = append(stats, workerStat{
-			id:       ws.id,
-			ageMs:    c.now().Sub(ws.lastBeat).Milliseconds(),
-			draining: ws.draining,
-		})
-	}
-	c.mu.Unlock()
-	sort.Slice(stats, func(i, j int) bool { return stats[i].id < stats[j].id })
-
-	active, draining := 0, 0
-	for _, s := range stats {
-		if s.draining {
+		if ws.draining {
 			draining++
 		} else {
 			active++
 		}
+		age.Samples = append(age.Samples, metrics.Sample{Labels: metrics.Labels("worker", ws.id),
+			Value: float64(c.now().Sub(ws.lastBeat).Milliseconds()) / 1000})
 	}
-	fmt.Fprintf(w, "# HELP womd_cluster_workers Registered cluster workers by state.\n"+
-		"# TYPE womd_cluster_workers gauge\n"+
-		"womd_cluster_workers{state=\"active\"} %d\n"+
-		"womd_cluster_workers{state=\"draining\"} %d\n", active, draining)
-	if len(stats) > 0 {
-		fmt.Fprintf(w, "# HELP womd_cluster_heartbeat_age_seconds Time since each worker's last heartbeat.\n"+
-			"# TYPE womd_cluster_heartbeat_age_seconds gauge\n")
-		for _, s := range stats {
-			fmt.Fprintf(w, "womd_cluster_heartbeat_age_seconds{worker=%q} %g\n",
-				s.id, float64(s.ageMs)/1000)
-		}
-	}
+	c.mu.Unlock()
+	metrics.SortByLabels(age.Samples)
 	m := c.metrics
-	m.writeDispatch(w)
-	fmt.Fprintf(w, "# HELP womd_cluster_requeue_total Jobs re-routed after a worker failure or eviction.\n"+
-		"# TYPE womd_cluster_requeue_total counter\nwomd_cluster_requeue_total %d\n", m.Requeues.Load())
-	fmt.Fprintf(w, "# HELP womd_cluster_steals_total Queued jobs stolen back for rebalancing.\n"+
-		"# TYPE womd_cluster_steals_total counter\nwomd_cluster_steals_total %d\n", m.Steals.Load())
-	fmt.Fprintf(w, "# HELP womd_cluster_evictions_total Workers evicted on heartbeat timeout.\n"+
-		"# TYPE womd_cluster_evictions_total counter\nwomd_cluster_evictions_total %d\n", m.Evictions.Load())
-	c.writeFederated(w)
+	fams := []metrics.Family{
+		{Name: "womd_cluster_workers", Help: "Registered cluster workers by state.", Type: "gauge",
+			Samples: []metrics.Sample{
+				{Labels: metrics.Labels("state", "active"), Value: active},
+				{Labels: metrics.Labels("state", "draining"), Value: draining},
+			}},
+		age,
+		m.dispatchFamily(),
+		metrics.Counter("womd_cluster_requeue_total", "Jobs re-routed after a worker failure or eviction.",
+			float64(m.Requeues.Load())),
+		metrics.Counter("womd_cluster_steals_total", "Queued jobs stolen back for rebalancing.",
+			float64(m.Steals.Load())),
+		metrics.Counter("womd_cluster_evictions_total", "Workers evicted on heartbeat timeout.",
+			float64(m.Evictions.Load())),
+	}
+	return append(fams, c.federatedFamilies()...)
 }

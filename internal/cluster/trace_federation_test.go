@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"womcpcm/internal/engine"
+	"womcpcm/internal/metrics/metricstest"
 	"womcpcm/internal/probe"
 	"womcpcm/internal/sim"
 	"womcpcm/internal/span"
@@ -162,14 +162,14 @@ func TestClusterFederatedMetrics(t *testing.T) {
 
 	tc.coord.FederateOnce(context.Background())
 	prom := httpGetBody(t, tc.ts.URL+"/metrics")
-	types, samples := parseProm(t, prom)
+	types, samples := metricstest.Parse(t, prom)
 
 	// Every declared family must be backed by samples (the strict
 	// exposition rule federation must preserve while merging).
 	backed := make(map[string]bool)
 	for _, s := range samples {
-		backed[promBaseName(s.name)] = true
-		backed[s.name] = true
+		backed[metricstest.BaseName(s.Name)] = true
+		backed[s.Name] = true
 	}
 	for name, typ := range types {
 		if !backed[name] {
@@ -183,23 +183,23 @@ func TestClusterFederatedMetrics(t *testing.T) {
 	instances := map[string]bool{}
 	var completed float64
 	for _, s := range samples {
-		if s.name == "womd_fleet_instances" && s.value != 2 {
-			t.Errorf("womd_fleet_instances = %g, want 2", s.value)
+		if s.Name == "womd_fleet_instances" && s.Value != 2 {
+			t.Errorf("womd_fleet_instances = %g, want 2", s.Value)
 		}
-		if !strings.HasPrefix(s.name, "womd_fleet_") || !strings.HasPrefix(promBaseName(s.name), "womd_fleet_") {
+		if !strings.HasPrefix(s.Name, "womd_fleet_") || !strings.HasPrefix(metricstest.BaseName(s.Name), "womd_fleet_") {
 			continue
 		}
-		switch s.name {
+		switch s.Name {
 		case "womd_fleet_instances", "womd_fleet_scrape_errors_total", "womd_fleet_scrape_age_seconds":
 			continue // federation meta-metrics carry no instance label
 		}
-		inst := s.labels["instance"]
+		inst := s.Labels["instance"]
 		if !regexp.MustCompile(`^w-\d{3}$`).MatchString(inst) {
-			t.Fatalf("federated sample %s labels %v: missing worker instance", s.name, s.labels)
+			t.Fatalf("federated sample %s labels %v: missing worker instance", s.Name, s.Labels)
 		}
 		instances[inst] = true
-		if s.name == "womd_fleet_jobs_completed_total" {
-			completed += s.value
+		if s.Name == "womd_fleet_jobs_completed_total" {
+			completed += s.Value
 		}
 	}
 	if len(instances) != 2 {
@@ -249,80 +249,4 @@ func TestClusterFederatedMetrics(t *testing.T) {
 			t.Errorf("fleet worker view incomplete: %+v", w)
 		}
 	}
-}
-
-// promSample / parseProm mirror the engine package's strict exposition
-// parser: bad label quoting, duplicate TYPE lines, and malformed values all
-// fail the test. Duplicated rather than exported — it is itself part of the
-// contract under test.
-type promSample struct {
-	name   string
-	labels map[string]string
-	value  float64
-}
-
-var (
-	promNameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*`)
-	promLabelRe = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:\\.|[^"\\])*)"`)
-)
-
-func parseProm(t *testing.T, body string) (types map[string]string, samples []promSample) {
-	t.Helper()
-	types = make(map[string]string)
-	for ln, line := range strings.Split(body, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "# HELP ") {
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				t.Fatalf("line %d: malformed TYPE: %q", ln+1, line)
-			}
-			if _, dup := types[fields[2]]; dup {
-				t.Fatalf("line %d: duplicate TYPE for %s", ln+1, fields[2])
-			}
-			types[fields[2]] = fields[3]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			t.Fatalf("line %d: unknown comment form: %q", ln+1, line)
-		}
-		name := promNameRe.FindString(line)
-		if name == "" {
-			t.Fatalf("line %d: no metric name: %q", ln+1, line)
-		}
-		rest := line[len(name):]
-		labels := make(map[string]string)
-		if strings.HasPrefix(rest, "{") {
-			rest = rest[1:]
-			for !strings.HasPrefix(rest, "}") {
-				m := promLabelRe.FindStringSubmatch(rest)
-				if m == nil {
-					t.Fatalf("line %d: bad label quoting after %q{: %q", ln+1, name, rest)
-				}
-				labels[m[1]] = m[2]
-				rest = rest[len(m[0]):]
-				rest = strings.TrimPrefix(rest, ",")
-			}
-			rest = rest[1:]
-		}
-		valStr := strings.TrimSpace(rest)
-		value, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			t.Fatalf("line %d: bad value %q for %s: %v", ln+1, valStr, name, err)
-		}
-		samples = append(samples, promSample{name: name, labels: labels, value: value})
-	}
-	return types, samples
-}
-
-// promBaseName strips the histogram series suffixes.
-func promBaseName(name string) string {
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, suffix) {
-			return strings.TrimSuffix(name, suffix)
-		}
-	}
-	return name
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"womcpcm/internal/metrics"
 	"womcpcm/internal/sim"
 	"womcpcm/internal/trace"
 	"womcpcm/internal/workload"
@@ -461,7 +462,7 @@ func TestMetricsProm(t *testing.T) {
 	m.ObserveWall("fig5", 1500*time.Millisecond)
 	m.ObserveWall("fig5", 2*time.Millisecond)
 	var b bytes.Buffer
-	m.WriteProm(&b)
+	metrics.Write(&b, m.Collect())
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE womd_jobs_queued_total counter",

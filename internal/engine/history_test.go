@@ -60,7 +60,7 @@ func TestHistoryQueryRangeHTTP(t *testing.T) {
 
 	start := time.Now().Add(-time.Second)
 	for i := 0; i < 3; i++ {
-		db.ScrapeOnce(srv.WriteProm)
+		db.ScrapeOnce(srv.Collect)
 		time.Sleep(5 * time.Millisecond)
 	}
 	end := time.Now().Add(time.Second)

@@ -1,13 +1,12 @@
 package engine
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"womcpcm/internal/metrics"
 	"womcpcm/internal/perfmon"
 	"womcpcm/internal/probe"
 	"womcpcm/internal/stats"
@@ -128,7 +127,7 @@ func (m *Metrics) ObservePerf(experiment string, rec perfmon.JobRecord) {
 	observe(m.perfAlloc, int64(rec.AllocBytes))
 }
 
-// perfSnapshot exports one per-experiment perf histogram family.
+// perfSnapshot exports one per-experiment histogram family.
 func (m *Metrics) perfSnapshot(hists map[string]*stats.Latency) map[string]stats.LatencySnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -140,15 +139,7 @@ func (m *Metrics) perfSnapshot(hists map[string]*stats.Latency) map[string]stats
 }
 
 // WallSnapshot exports the per-experiment wall-time histograms.
-func (m *Metrics) WallSnapshot() map[string]stats.LatencySnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]stats.LatencySnapshot, len(m.wall))
-	for exp, l := range m.wall {
-		out[exp] = l.Snapshot()
-	}
-	return out
-}
+func (m *Metrics) WallSnapshot() map[string]stats.LatencySnapshot { return m.perfSnapshot(m.wall) }
 
 // Snapshot is the JSON form of the metrics set.
 type Snapshot struct {
@@ -215,94 +206,79 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 }
 
-// WriteProm renders the metrics in the Prometheus text exposition format.
-func (m *Metrics) WriteProm(w io.Writer) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// Collect returns the service families GET /metrics exposes.
+func (m *Metrics) Collect() []metrics.Family {
+	counter := func(name, help string, v uint64) metrics.Family {
+		return metrics.Counter(name, help, float64(v))
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	gauge := func(name, help string, v int64) metrics.Family {
+		return metrics.Gauge(name, help, float64(v))
 	}
-	counter("womd_jobs_queued_total", "Jobs accepted into the queue.", m.Queued.Load())
-	counter("womd_jobs_rejected_total", "Jobs refused by admission control.", m.Rejected.Load())
-	counter("womd_jobs_completed_total", "Jobs that succeeded.", m.Completed.Load())
-	counter("womd_jobs_failed_total", "Jobs that errored or timed out.", m.Failed.Load())
-	counter("womd_jobs_canceled_total", "Jobs canceled before or during execution.", m.Canceled.Load())
-	counter("womd_cache_hits_total", "Submissions served from the result store.", m.CacheHits.Load())
-	counter("womd_cache_misses_total", "Cacheable submissions not found in the store.", m.CacheMisses.Load())
-	counter("womd_jobs_deduped_total", "Submissions folded into an identical in-flight job.", m.Deduped.Load())
-	counter("womd_store_errors_total", "Failed result-store appends.", m.StoreErrors.Load())
-	fmt.Fprintf(w, "# HELP womd_writes_total Simulated row writes by class across executed jobs.\n"+
-		"# TYPE womd_writes_total counter\n")
+	writes := metrics.Family{Name: "womd_writes_total", Type: "counter",
+		Help: "Simulated row writes by class across executed jobs."}
 	for k := 0; k < probe.NumWriteKinds; k++ {
-		fmt.Fprintf(w, "womd_writes_total{class=%q} %d\n", probe.Kind(k).String(), m.WriteClasses[k].Load())
+		writes.Samples = append(writes.Samples, metrics.Sample{
+			Labels: metrics.Labels("class", probe.Kind(k).String()),
+			Value:  float64(m.WriteClasses[k].Load()),
+		})
 	}
-	counter("womd_stream_dropped_total", "SSE stream events lost to full subscriber buffers.", m.StreamDropped.Load())
-	gauge("womd_stream_clients", "Connected SSE stream subscribers.", m.StreamClients.Load())
-	gauge("womd_queue_depth", "Jobs waiting for a worker.", m.QueueDepth.Load())
-	gauge("womd_jobs_running", "Jobs executing now.", m.Running.Load())
-	fmt.Fprintf(w, "# HELP womd_uptime_seconds Seconds since the service started.\n"+
-		"# TYPE womd_uptime_seconds gauge\nwomd_uptime_seconds %g\n", m.Uptime().Seconds())
 	goVersion, revision := buildInfo()
-	fmt.Fprintf(w, "# HELP womd_build_info Build metadata; the value is always 1.\n"+
-		"# TYPE womd_build_info gauge\nwomd_build_info{go_version=%q,revision=%q} 1\n",
-		goVersion, revision)
-
-	counter("womd_job_sim_events_total", "Simulator event-loop steps across executed jobs.", m.SimEvents.Load())
-	counter("womd_profiles_captured_total", "Slow-job pprof captures.", m.ProfilesCaptured.Load())
-
-	writeExpHistogram(w, "womd_job_wall_seconds", "Per-experiment job wall time.", m.WallSnapshot(), 1e-9)
-	writeExpHistogram(w, "womd_job_events_per_second", "Per-experiment simulated-events/sec per job.",
-		m.perfSnapshot(m.perfEvents), 1)
-	writeExpHistogram(w, "womd_job_cpu_seconds", "Per-experiment process CPU time per job.",
-		m.perfSnapshot(m.perfCPU), 1e-9)
-	writeExpHistogram(w, "womd_job_alloc_bytes", "Per-experiment heap bytes allocated per job.",
-		m.perfSnapshot(m.perfAlloc), 1)
-	if qw := m.QueueWaitSnapshot(); qw.Count > 0 {
-		writeHistogramSeries(w, "womd_job_queue_wait_seconds",
-			"Job latency from admission to worker start.", "", qw, 1e-9, true)
+	fams := []metrics.Family{
+		counter("womd_jobs_queued_total", "Jobs accepted into the queue.", m.Queued.Load()),
+		counter("womd_jobs_rejected_total", "Jobs refused by admission control.", m.Rejected.Load()),
+		counter("womd_jobs_completed_total", "Jobs that succeeded.", m.Completed.Load()),
+		counter("womd_jobs_failed_total", "Jobs that errored or timed out.", m.Failed.Load()),
+		counter("womd_jobs_canceled_total", "Jobs canceled before or during execution.", m.Canceled.Load()),
+		counter("womd_cache_hits_total", "Submissions served from the result store.", m.CacheHits.Load()),
+		counter("womd_cache_misses_total", "Cacheable submissions not found in the store.", m.CacheMisses.Load()),
+		counter("womd_jobs_deduped_total", "Submissions folded into an identical in-flight job.", m.Deduped.Load()),
+		counter("womd_store_errors_total", "Failed result-store appends.", m.StoreErrors.Load()),
+		writes,
+		counter("womd_stream_dropped_total", "SSE stream events lost to full subscriber buffers.", m.StreamDropped.Load()),
+		gauge("womd_stream_clients", "Connected SSE stream subscribers.", m.StreamClients.Load()),
+		gauge("womd_queue_depth", "Jobs waiting for a worker.", m.QueueDepth.Load()),
+		gauge("womd_jobs_running", "Jobs executing now.", m.Running.Load()),
+		metrics.Gauge("womd_uptime_seconds", "Seconds since the service started.", m.Uptime().Seconds()),
+		{Name: "womd_build_info", Help: "Build metadata; the value is always 1.", Type: "gauge",
+			Samples: []metrics.Sample{{Labels: metrics.Labels("go_version", goVersion, "revision", revision), Value: 1}}},
+		counter("womd_job_sim_events_total", "Simulator event-loop steps across executed jobs.", m.SimEvents.Load()),
+		counter("womd_profiles_captured_total", "Slow-job pprof captures.", m.ProfilesCaptured.Load()),
+		expHistogram("womd_job_wall_seconds", "Per-experiment job wall time.", m.WallSnapshot(), 1e-9),
+		expHistogram("womd_job_events_per_second", "Per-experiment simulated-events/sec per job.",
+			m.perfSnapshot(m.perfEvents), 1),
+		expHistogram("womd_job_cpu_seconds", "Per-experiment process CPU time per job.",
+			m.perfSnapshot(m.perfCPU), 1e-9),
+		expHistogram("womd_job_alloc_bytes", "Per-experiment heap bytes allocated per job.",
+			m.perfSnapshot(m.perfAlloc), 1),
 	}
+	if qw := m.QueueWaitSnapshot(); qw.Count > 0 {
+		fams = append(fams, metrics.Family{Name: "womd_job_queue_wait_seconds", Type: "histogram",
+			Help:    "Job latency from admission to worker start.",
+			Samples: histogramSamples(nil, qw, 1e-9)})
+	}
+	return fams
 }
 
-// writeExpHistogram renders one per-experiment histogram family, scaling
-// log2-bucket upper bounds by scale (1e-9 turns nanoseconds into seconds).
-// The HELP/TYPE header is emitted only when at least one series has
-// samples: a TYPE line with no samples trips exposition-format checkers.
-func writeExpHistogram(w io.Writer, name, help string, snaps map[string]stats.LatencySnapshot, scale float64) {
+// expHistogram builds one per-experiment histogram family, scaling log2
+// bucket upper bounds by scale (1e-9 turns nanoseconds into seconds).
+func expHistogram(name, help string, snaps map[string]stats.LatencySnapshot, scale float64) metrics.Family {
 	exps := make([]string, 0, len(snaps))
 	for exp := range snaps {
 		exps = append(exps, exp)
 	}
 	sort.Strings(exps)
-	header := false
+	fam := metrics.Family{Name: name, Help: help, Type: "histogram"}
 	for _, exp := range exps {
-		writeHistogramSeries(w, name, help, exp, snaps[exp], scale, !header)
-		header = true
+		fam.Samples = append(fam.Samples, histogramSamples(metrics.Labels("experiment", exp), snaps[exp], scale)...)
 	}
+	return fam
 }
 
-// writeHistogramSeries renders one histogram series; exp == "" renders an
-// unlabeled series. withHeader emits the HELP/TYPE comment first.
-func writeHistogramSeries(w io.Writer, name, help, exp string, s stats.LatencySnapshot, scale float64, withHeader bool) {
-	if withHeader {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+// histogramSamples expands one latency snapshot into histogram samples.
+func histogramSamples(labels []metrics.Label, s stats.LatencySnapshot, scale float64) []metrics.Sample {
+	buckets := make([]metrics.Bucket, len(s.Buckets))
+	for i, b := range s.Buckets {
+		buckets[i] = metrics.Bucket{Le: float64(b.UpperNs) * scale, Count: b.Count}
 	}
-	label := func(le string) string {
-		if exp == "" {
-			if le == "" {
-				return ""
-			}
-			return fmt.Sprintf("{le=%q}", le)
-		}
-		if le == "" {
-			return fmt.Sprintf("{experiment=%q}", exp)
-		}
-		return fmt.Sprintf("{experiment=%q,le=%q}", exp, le)
-	}
-	for _, b := range s.Buckets {
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, label(fmt.Sprintf("%g", float64(b.UpperNs)*scale)), b.Count)
-	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, label("+Inf"), s.Count)
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, label(""), float64(s.SumNs)*scale)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, label(""), s.Count)
+	return metrics.Histogram(labels, buckets, s.Count, float64(s.SumNs)*scale)
 }

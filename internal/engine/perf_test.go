@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"womcpcm/internal/metrics"
+	"womcpcm/internal/metrics/metricstest"
 	"womcpcm/internal/perfmon"
 	"womcpcm/internal/sim"
 )
@@ -63,7 +65,7 @@ func TestJobPerfRecord(t *testing.T) {
 	}
 
 	var b bytes.Buffer
-	mgr.Metrics().WriteProm(&b)
+	metrics.Write(&b, mgr.Metrics().Collect())
 	out := b.String()
 	for _, want := range []string{
 		"womd_job_sim_events_total ",
@@ -255,15 +257,15 @@ func TestRuntimeMetricsExposition(t *testing.T) {
 	defer poller.Stop()
 	mgr := New(Config{Workers: 1, QueueDepth: 4})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	srv := NewServer(mgr, WithRuntimeMetrics(poller))
+	srv := NewServer(mgr, WithCollector(poller.Collect))
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	types, samples := parseProm(t, rec.Body.String())
+	types, samples := metricstest.Parse(t, rec.Body.String())
 	counts := make(map[string]int)
 	for _, s := range samples {
-		counts[baseName(s.name)]++
-		counts[s.name]++
+		counts[metricstest.BaseName(s.Name)]++
+		counts[s.Name]++
 	}
 	for _, fam := range perfmon.RuntimeMetricNames() {
 		if _, ok := types[fam]; !ok {
@@ -276,7 +278,7 @@ func TestRuntimeMetricsExposition(t *testing.T) {
 	// Summaries carry quantile labels.
 	var quantiles int
 	for _, s := range samples {
-		if s.name == "womd_runtime_gc_pause_seconds" && s.labels["quantile"] != "" {
+		if s.Name == "womd_runtime_gc_pause_seconds" && s.Labels["quantile"] != "" {
 			quantiles++
 		}
 	}

@@ -4,90 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"womcpcm/internal/metrics/metricstest"
 )
-
-// promSample is one parsed exposition line.
-type promSample struct {
-	name   string
-	labels map[string]string
-	value  float64
-}
-
-var (
-	promNameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*`)
-	promLabelRe = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:\\.|[^"\\])*)"`)
-)
-
-// parseProm parses the text exposition format strictly enough to catch the
-// drift this test guards against: unparseable label quoting, TYPE lines
-// without samples, and malformed values all fail loudly.
-func parseProm(t *testing.T, body string) (types map[string]string, samples []promSample) {
-	t.Helper()
-	types = make(map[string]string)
-	for ln, line := range strings.Split(body, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "# HELP ") {
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				t.Fatalf("line %d: malformed TYPE: %q", ln+1, line)
-			}
-			if _, dup := types[fields[2]]; dup {
-				t.Fatalf("line %d: duplicate TYPE for %s", ln+1, fields[2])
-			}
-			types[fields[2]] = fields[3]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			t.Fatalf("line %d: unknown comment form: %q", ln+1, line)
-		}
-
-		name := promNameRe.FindString(line)
-		if name == "" {
-			t.Fatalf("line %d: no metric name: %q", ln+1, line)
-		}
-		rest := line[len(name):]
-		labels := make(map[string]string)
-		if strings.HasPrefix(rest, "{") {
-			rest = rest[1:]
-			for !strings.HasPrefix(rest, "}") {
-				m := promLabelRe.FindStringSubmatch(rest)
-				if m == nil {
-					t.Fatalf("line %d: bad label quoting after %q{: %q", ln+1, name, rest)
-				}
-				labels[m[1]] = m[2]
-				rest = rest[len(m[0]):]
-				rest = strings.TrimPrefix(rest, ",")
-			}
-			rest = rest[1:]
-		}
-		valStr := strings.TrimSpace(rest)
-		value, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			t.Fatalf("line %d: bad value %q for %s: %v", ln+1, valStr, name, err)
-		}
-		samples = append(samples, promSample{name: name, labels: labels, value: value})
-	}
-	return types, samples
-}
-
-// baseName strips the histogram series suffixes.
-func baseName(name string) string {
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, suffix) {
-			return strings.TrimSuffix(name, suffix)
-		}
-	}
-	return name
-}
 
 // TestPromExposition scrapes a live /metrics and checks the exposition
 // contract end to end: every # TYPE line is backed by at least one sample,
@@ -112,7 +35,7 @@ func TestPromExposition(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Errorf("content type = %q", ct)
 	}
-	types, samples := parseProm(t, rec.Body.String())
+	types, samples := metricstest.Parse(t, rec.Body.String())
 	if len(types) == 0 || len(samples) == 0 {
 		t.Fatalf("empty exposition: %d types, %d samples", len(types), len(samples))
 	}
@@ -121,21 +44,21 @@ func TestPromExposition(t *testing.T) {
 	// declared family has at least one sample.
 	seen := make(map[string]bool)
 	for _, s := range samples {
-		base := baseName(s.name)
+		base := metricstest.BaseName(s.Name)
 		typ, ok := types[base]
 		if !ok {
 			// _bucket/_sum/_count suffixes are only histogram series; a plain
 			// gauge named *_count would have its own TYPE line.
-			typ, ok = types[s.name]
-			base = s.name
+			typ, ok = types[s.Name]
+			base = s.Name
 		}
 		if !ok {
-			t.Errorf("sample %s has no TYPE line", s.name)
+			t.Errorf("sample %s has no TYPE line", s.Name)
 			continue
 		}
-		if typ == "histogram" && base != s.name && !strings.HasSuffix(s.name, "_bucket") &&
-			!strings.HasSuffix(s.name, "_sum") && !strings.HasSuffix(s.name, "_count") {
-			t.Errorf("histogram %s has non-histogram series %s", base, s.name)
+		if typ == "histogram" && base != s.Name && !strings.HasSuffix(s.Name, "_bucket") &&
+			!strings.HasSuffix(s.Name, "_sum") && !strings.HasSuffix(s.Name, "_count") {
+			t.Errorf("histogram %s has non-histogram series %s", base, s.Name)
 		}
 		seen[base] = true
 	}
@@ -154,13 +77,13 @@ func TestPromExposition(t *testing.T) {
 	groups := make(map[string]*series)
 	counts := make(map[string]float64)
 	for _, s := range samples {
-		base := baseName(s.name)
+		base := metricstest.BaseName(s.Name)
 		if types[base] != "histogram" {
 			continue
 		}
 		key := base
 		var rest []string
-		for k, v := range s.labels {
+		for k, v := range s.Labels {
 			if k != "le" {
 				rest = append(rest, fmt.Sprintf("%s=%s", k, v))
 			}
@@ -168,16 +91,16 @@ func TestPromExposition(t *testing.T) {
 		sort.Strings(rest)
 		key += "{" + strings.Join(rest, ",") + "}"
 		switch {
-		case strings.HasSuffix(s.name, "_bucket"):
+		case strings.HasSuffix(s.Name, "_bucket"):
 			g := groups[key]
 			if g == nil {
 				g = &series{}
 				groups[key] = g
 			}
-			g.les = append(g.les, s.labels["le"])
-			g.counts = append(g.counts, s.value)
-		case strings.HasSuffix(s.name, "_count"):
-			counts[key] = s.value
+			g.les = append(g.les, s.Labels["le"])
+			g.counts = append(g.counts, s.Value)
+		case strings.HasSuffix(s.Name, "_count"):
+			counts[key] = s.Value
 		}
 	}
 	if len(groups) == 0 {
@@ -202,9 +125,9 @@ func TestPromExposition(t *testing.T) {
 	// The build-info gauge carries its metadata in quoted labels.
 	var foundBuild bool
 	for _, s := range samples {
-		if s.name == "womd_build_info" {
+		if s.Name == "womd_build_info" {
 			foundBuild = true
-			if s.labels["go_version"] == "" || s.labels["revision"] == "" || s.value != 1 {
+			if s.Labels["go_version"] == "" || s.Labels["revision"] == "" || s.Value != 1 {
 				t.Errorf("womd_build_info = %+v", s)
 			}
 		}

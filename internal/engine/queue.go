@@ -108,7 +108,7 @@ type tenantQueue struct {
 }
 
 // NewTenantQueue wraps the multi-tenant scheduler as the manager's queue
-// (Config.Queue). The caller keeps the scheduler for Reload and WriteProm.
+// (Config.Queue). The caller keeps the scheduler for Reload and Collect.
 func NewTenantQueue(s *sched.Scheduler) Queue { return &tenantQueue{s: s} }
 
 func (q *tenantQueue) Enqueue(j *Job) error {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"womcpcm/internal/health"
+	"womcpcm/internal/metrics"
 	"womcpcm/internal/perfmon"
 	"womcpcm/internal/resultstore"
 	"womcpcm/internal/sched"
@@ -54,16 +55,15 @@ import (
 //	GET    /healthz             liveness probe
 //	GET    /readyz              readiness: 503 while draining or saturated
 type Server struct {
-	m         *Manager
-	mux       *http.ServeMux
-	log       *slog.Logger
-	debug     bool
-	heartbeat time.Duration
-	poller    *perfmon.Poller
-	promExtra []func(io.Writer)
-	alerts    *health.Engine
-	history   *tsdb.DB
-	readySat  float64
+	m          *Manager
+	mux        *http.ServeMux
+	log        *slog.Logger
+	debug      bool
+	heartbeat  time.Duration
+	collectors []func() []metrics.Family
+	alerts     *health.Engine
+	history    *tsdb.DB
+	readySat   float64
 }
 
 // ServerOption configures NewServer.
@@ -97,20 +97,14 @@ func WithHeartbeat(d time.Duration) ServerOption {
 	}
 }
 
-// WithRuntimeMetrics appends p's womd_runtime_* families (GC pauses, heap
-// in-use, goroutines, scheduler latency) to GET /metrics. The caller owns
-// the poller's lifecycle — Start it before serving, Stop it on shutdown.
-func WithRuntimeMetrics(p *perfmon.Poller) ServerOption {
-	return func(s *Server) { s.poller = p }
-}
-
-// WithPromAppender appends extra metric families to GET /metrics — the hook
-// the cluster coordinator uses to export womd_cluster_* alongside the
-// service counters. f must emit valid Prometheus text exposition.
-func WithPromAppender(f func(io.Writer)) ServerOption {
+// WithCollector appends a plane's metric families to GET /metrics, after
+// the service's own and in option order — the hook runtime metrics,
+// alerts, spans, the cluster coordinator, the scheduler and the history
+// store export through. The history self-scrape gathers the same list.
+func WithCollector(f func() []metrics.Family) ServerOption {
 	return func(s *Server) {
 		if f != nil {
-			s.promExtra = append(s.promExtra, f)
+			s.collectors = append(s.collectors, f)
 		}
 	}
 }
@@ -680,45 +674,34 @@ func (s *Server) compareBaseline(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) promMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.WriteProm(w)
+	metrics.Write(w, s.Collect()) //nolint:errcheck // client gone mid-response
 }
 
-// WriteProm writes the full Prometheus exposition GET /metrics serves:
-// service counters, store gauge, per-job progress, runtime metrics, and
-// every registered appender (cluster families, federated fleet families,
+// Collect gathers every family GET /metrics serves: service counters,
+// store gauge, per-job progress, then each WithCollector plane (runtime
+// metrics, alerts, spans, cluster and federated fleet families, tenants,
 // the history store's own gauges). The history self-scrape gathers from
 // here, so everything /metrics exposes is also everything history
 // records.
-func (s *Server) WriteProm(w io.Writer) {
-	s.m.Metrics().WriteProm(w)
+func (s *Server) Collect() []metrics.Family {
+	fams := s.m.Metrics().Collect()
 	if store := s.m.Store(); store != nil {
-		fmt.Fprintf(w, "# HELP womd_store_results Distinct results held by the result store.\n"+
-			"# TYPE womd_store_results gauge\nwomd_store_results %d\n", store.Len())
+		fams = append(fams, metrics.Gauge("womd_store_results",
+			"Distinct results held by the result store.", float64(store.Len())))
 	}
-	// One gauge sample per running progress-reporting job. The header is
-	// emitted only alongside samples: a TYPE line with no series would trip
-	// exposition-format checkers (and this repo's prom test).
-	var progress []ProgressView
-	var exps []string
+	progress := metrics.Family{Name: "womd_job_progress", Type: "gauge",
+		Help: "Fraction of a running job's records processed."}
 	for _, j := range s.m.Jobs() {
 		if p := j.Progress(); p.State == StateRunning && p.Total > 0 {
-			progress = append(progress, p)
-			exps = append(exps, j.exp.Name)
+			progress.Samples = append(progress.Samples, metrics.Sample{
+				Labels: metrics.Labels("job", p.ID, "experiment", j.exp.Name), Value: p.Fraction})
 		}
 	}
-	if len(progress) > 0 {
-		fmt.Fprintf(w, "# HELP womd_job_progress Fraction of a running job's records processed.\n"+
-			"# TYPE womd_job_progress gauge\n")
-		for i, p := range progress {
-			fmt.Fprintf(w, "womd_job_progress{job=%q,experiment=%q} %g\n", p.ID, exps[i], p.Fraction)
-		}
+	fams = append(fams, progress)
+	for _, c := range s.collectors {
+		fams = append(fams, c()...)
 	}
-	if s.poller != nil {
-		s.poller.WriteProm(w)
-	}
-	for _, f := range s.promExtra {
-		f(w)
-	}
+	return fams
 }
 
 func (s *Server) jsonMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"womcpcm/internal/metrics"
 )
 
 // fakeClock drives deterministic evaluation.
@@ -324,7 +326,7 @@ func TestWriteProm(t *testing.T) {
 	e, _ := NewEngine(Config{Rules: burnRules(0, 0), Signals: burnSignals(&att), Now: clk.now})
 	e.EvalOnce()
 	var b strings.Builder
-	e.WriteProm(&b)
+	metrics.Write(&b, e.Collect())
 	out := b.String()
 	for _, want := range []string{
 		`womd_alerts{state="firing"} 2`,
@@ -343,7 +345,7 @@ func TestWriteProm(t *testing.T) {
 	att = 1.0
 	e.EvalOnce()
 	b.Reset()
-	e.WriteProm(&b)
+	metrics.Write(&b, e.Collect())
 	if strings.Contains(b.String(), "womd_alert_firing") {
 		t.Fatalf("womd_alert_firing emitted with no firing alerts:\n%s", b.String())
 	}
@@ -354,7 +356,7 @@ func TestNilEngineSafe(t *testing.T) {
 	e.Start()
 	e.Stop()
 	e.EvalOnce()
-	e.WriteProm(&strings.Builder{})
+	metrics.Write(&strings.Builder{}, e.Collect())
 	if got := e.Alerts(); got != nil {
 		t.Fatalf("nil Alerts = %v", got)
 	}

@@ -1,27 +1,24 @@
 package health
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "womcpcm/internal/metrics"
 
-// WriteProm renders the womd_alert_* families in Prometheus text
-// exposition format — wired into GET /metrics via engine.WithPromAppender
-// when womd runs with -alerts. No-op on a nil engine, so the appender can
-// be registered unconditionally.
-func (e *Engine) WriteProm(w io.Writer) {
+// Collect returns the womd_alert_* families, wired into GET /metrics via
+// engine.WithCollector when womd runs with -alerts. Nil on a nil engine,
+// so the collector can be registered unconditionally.
+func (e *Engine) Collect() []metrics.Family {
 	if e == nil {
-		return
+		return nil
 	}
+	// One series per firing alert; with nothing firing the family has no
+	// samples and so no HELP/TYPE header either.
+	live := metrics.Family{Name: "womd_alert_firing", Help: "One series per firing alert.", Type: "gauge"}
+	var pending, firing float64
 	e.mu.Lock()
-	var pending, firing int
-	type firingAlert struct{ rule, subject string }
-	var live []firingAlert
 	for _, a := range e.active {
 		if a.state == StateFiring {
 			firing++
-			live = append(live, firingAlert{a.rule, a.subject})
+			live.Samples = append(live.Samples,
+				metrics.Sample{Labels: metrics.Labels("rule", a.rule, "subject", a.subject), Value: 1})
 		} else {
 			pending++
 		}
@@ -30,35 +27,18 @@ func (e *Engine) WriteProm(w io.Writer) {
 		e.evals, e.pendingTotal, e.firedTotal, e.resolvedTotal, e.flapsTotal
 	e.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP womd_alerts Active alerts by lifecycle state.\n"+
-		"# TYPE womd_alerts gauge\n"+
-		"womd_alerts{state=\"pending\"} %d\n"+
-		"womd_alerts{state=\"firing\"} %d\n", pending, firing)
-	fmt.Fprintf(w, "# HELP womd_alert_transitions_total Alert lifecycle transitions since start.\n"+
-		"# TYPE womd_alert_transitions_total counter\n"+
-		"womd_alert_transitions_total{state=\"pending\"} %d\n"+
-		"womd_alert_transitions_total{state=\"firing\"} %d\n"+
-		"womd_alert_transitions_total{state=\"resolved\"} %d\n", pendingT, firedT, resolvedT)
-	fmt.Fprintf(w, "# HELP womd_alert_evaluations_total Rule evaluation passes.\n"+
-		"# TYPE womd_alert_evaluations_total counter\n"+
-		"womd_alert_evaluations_total %d\n", evals)
-	fmt.Fprintf(w, "# HELP womd_alert_flaps_total Pending alerts that cleared before firing.\n"+
-		"# TYPE womd_alert_flaps_total counter\n"+
-		"womd_alert_flaps_total %d\n", flapsT)
-	// Per-alert series only when something is firing: the exposition test
-	// requires every HELP/TYPE header to have at least one sample.
-	if len(live) == 0 {
-		return
+	metrics.SortByLabels(live.Samples)
+	state := func(st string, v float64) metrics.Sample {
+		return metrics.Sample{Labels: metrics.Labels("state", st), Value: v}
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].rule != live[j].rule {
-			return live[i].rule < live[j].rule
-		}
-		return live[i].subject < live[j].subject
-	})
-	fmt.Fprintf(w, "# HELP womd_alert_firing One series per firing alert.\n"+
-		"# TYPE womd_alert_firing gauge\n")
-	for _, a := range live {
-		fmt.Fprintf(w, "womd_alert_firing{rule=%q,subject=%q} 1\n", a.rule, a.subject)
+	return []metrics.Family{
+		{Name: "womd_alerts", Help: "Active alerts by lifecycle state.", Type: "gauge",
+			Samples: []metrics.Sample{state("pending", pending), state("firing", firing)}},
+		{Name: "womd_alert_transitions_total", Help: "Alert lifecycle transitions since start.", Type: "counter",
+			Samples: []metrics.Sample{state("pending", float64(pendingT)), state("firing", float64(firedT)),
+				state("resolved", float64(resolvedT))}},
+		metrics.Counter("womd_alert_evaluations_total", "Rule evaluation passes.", float64(evals)),
+		metrics.Counter("womd_alert_flaps_total", "Pending alerts that cleared before firing.", float64(flapsT)),
+		live,
 	}
 }

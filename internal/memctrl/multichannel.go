@@ -103,6 +103,7 @@ func mergeRuns(a, b *stats.Run) {
 	a.CacheMisses += b.CacheMisses
 	a.VictimWrites += b.VictimWrites
 	a.WriteCancels += b.WriteCancels
+	a.Events += b.Events
 	if b.SimulatedNs > a.SimulatedNs {
 		a.SimulatedNs = b.SimulatedNs
 	}

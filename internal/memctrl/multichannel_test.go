@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"womcpcm/internal/trace"
@@ -130,5 +131,52 @@ func TestMultiChannelScaling(t *testing.T) {
 	}
 	if means[4] > means[1] {
 		t.Errorf("4 channels (%.1f) slower than 1 (%.1f)", means[4], means[1])
+	}
+}
+
+// TestMultiChannelMergesEvents: the merged run's Events is the sum of the
+// per-channel controller runs and agrees with the shared Config.Events
+// counter every channel flushes into.
+func TestMultiChannelMergesEvents(t *testing.T) {
+	p, err := workload.ProfileByName("qsort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := workload.Generate(p, testGeometry(), 11, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(DefaultWOM(), DefaultRefresh(), nil)
+	var shared atomic.Int64
+	cfg.Events = &shared
+	mc, err := NewMultiChannel(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := mc.Run(trace.NewSliceSource(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	subs := make([][]trace.Record, 4)
+	for _, r := range recs {
+		ch, local := mc.channelOf(r.Addr)
+		r.Addr = local
+		subs[ch] = append(subs[ch], r)
+	}
+	plain := cfg
+	plain.Events = nil
+	var sum uint64
+	for ch, sub := range subs {
+		if len(sub) == 0 {
+			t.Fatalf("channel %d got no records", ch)
+		}
+		sum += runTrace(t, plain, sub).Events
+	}
+	if merged.Events == 0 || merged.Events != sum {
+		t.Errorf("merged Events = %d, want per-channel sum %d", merged.Events, sum)
+	}
+	if got := uint64(shared.Load()); got != merged.Events {
+		t.Errorf("shared Config.Events = %d, merged Events = %d", got, merged.Events)
 	}
 }

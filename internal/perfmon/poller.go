@@ -1,13 +1,13 @@
 package perfmon
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"runtime/metrics"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"womcpcm/internal/metrics"
 )
 
 // pollerSampleNames are the runtime/metrics series the poller samples each
@@ -87,7 +87,7 @@ type Poller struct {
 	mu      sync.Mutex
 	stop    chan struct{}
 	done    chan struct{}
-	samples []metrics.Sample
+	samples []rtmetrics.Sample
 }
 
 // NewPoller builds a poller; interval ≤ 0 selects DefaultPollInterval.
@@ -95,7 +95,7 @@ func NewPoller(interval time.Duration) *Poller {
 	if interval <= 0 {
 		interval = DefaultPollInterval
 	}
-	p := &Poller{interval: interval, samples: make([]metrics.Sample, len(pollerSampleNames))}
+	p := &Poller{interval: interval, samples: make([]rtmetrics.Sample, len(pollerSampleNames))}
 	for i, name := range pollerSampleNames {
 		p.samples[i].Name = name
 	}
@@ -147,7 +147,7 @@ func (p *Poller) run(stop, done chan struct{}) {
 // poll samples the runtime and publishes a fresh snapshot. Callers hold mu
 // (the sample slice is reused between polls).
 func (p *Poller) poll() {
-	metrics.Read(p.samples)
+	rtmetrics.Read(p.samples)
 	s := &RuntimeSnapshot{
 		HeapInUseBytes:  p.samples[pollHeapObjects].Value.Uint64() + p.samples[pollHeapUnused].Value.Uint64(),
 		TotalBytes:      p.samples[pollTotalBytes].Value.Uint64(),
@@ -169,7 +169,7 @@ func (p *Poller) Snapshot() *RuntimeSnapshot { return p.snap.Load() }
 // histQuantiles summarizes a runtime Float64Histogram. Bucket i counts
 // observations in [Buckets[i], Buckets[i+1}); a quantile reports the upper
 // bound of the bucket where the cumulative count crosses it.
-func histQuantiles(h *metrics.Float64Histogram) Quantiles {
+func histQuantiles(h *rtmetrics.Float64Histogram) Quantiles {
 	if h == nil {
 		return Quantiles{}
 	}
@@ -205,7 +205,7 @@ func histQuantiles(h *metrics.Float64Histogram) Quantiles {
 	return q
 }
 
-// RuntimeMetricNames lists every womd_runtime_* family WriteProm emits — the
+// RuntimeMetricNames lists every womd_runtime_* family Collect returns — the
 // poller exposition test asserts each appears in /metrics.
 func RuntimeMetricNames() []string {
 	return []string{
@@ -221,34 +221,26 @@ func RuntimeMetricNames() []string {
 	}
 }
 
-// WriteProm renders the latest snapshot as womd_runtime_* families in the
-// Prometheus text exposition format; it writes nothing before the first
-// poll, keeping the TYPE-implies-samples contract.
-func (p *Poller) WriteProm(w io.Writer) {
+// Collect returns the latest snapshot as womd_runtime_* families; nil
+// before the first poll, keeping the TYPE-implies-samples contract.
+func (p *Poller) Collect() []metrics.Family {
 	s := p.Snapshot()
 	if s == nil {
-		return
+		return nil
 	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+	summary := func(name, help string, q Quantiles) metrics.Family {
+		return metrics.Family{Name: name, Help: help, Type: "summary", Samples: metrics.Summary(
+			[]metrics.Quantile{{Q: 0.5, V: q.P50}, {Q: 0.9, V: q.P90}, {Q: 0.99, V: q.P99}}, q.Count)}
 	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
+	return []metrics.Family{
+		metrics.Gauge("womd_runtime_heap_inuse_bytes", "Live heap memory (objects + unused spans).", float64(s.HeapInUseBytes)),
+		metrics.Gauge("womd_runtime_memory_total_bytes", "All memory mapped by the Go runtime.", float64(s.TotalBytes)),
+		metrics.Gauge("womd_runtime_goroutines", "Live goroutines.", float64(s.Goroutines)),
+		metrics.Gauge("womd_runtime_gomaxprocs", "GOMAXPROCS.", float64(s.GoMaxProcs)),
+		metrics.Counter("womd_runtime_gc_cycles_total", "Completed GC cycles.", float64(s.GCCycles)),
+		metrics.Counter("womd_runtime_alloc_bytes_total", "Cumulative heap bytes allocated.", float64(s.AllocBytes)),
+		metrics.Counter("womd_runtime_gc_assist_seconds_total", "CPU seconds goroutines spent assisting the GC.", s.GCAssistSeconds),
+		summary("womd_runtime_gc_pause_seconds", "GC stop-the-world pause quantiles (process lifetime).", s.GCPause),
+		summary("womd_runtime_sched_latency_seconds", "Goroutine scheduling latency quantiles (process lifetime).", s.SchedLatency),
 	}
-	summary := func(name, help string, q Quantiles) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", name, help, name)
-		fmt.Fprintf(w, "%s{quantile=\"0.5\"} %g\n", name, q.P50)
-		fmt.Fprintf(w, "%s{quantile=\"0.9\"} %g\n", name, q.P90)
-		fmt.Fprintf(w, "%s{quantile=\"0.99\"} %g\n", name, q.P99)
-		fmt.Fprintf(w, "%s_count %d\n", name, q.Count)
-	}
-	gauge("womd_runtime_heap_inuse_bytes", "Live heap memory (objects + unused spans).", float64(s.HeapInUseBytes))
-	gauge("womd_runtime_memory_total_bytes", "All memory mapped by the Go runtime.", float64(s.TotalBytes))
-	gauge("womd_runtime_goroutines", "Live goroutines.", float64(s.Goroutines))
-	gauge("womd_runtime_gomaxprocs", "GOMAXPROCS.", float64(s.GoMaxProcs))
-	counter("womd_runtime_gc_cycles_total", "Completed GC cycles.", float64(s.GCCycles))
-	counter("womd_runtime_alloc_bytes_total", "Cumulative heap bytes allocated.", float64(s.AllocBytes))
-	counter("womd_runtime_gc_assist_seconds_total", "CPU seconds goroutines spent assisting the GC.", s.GCAssistSeconds)
-	summary("womd_runtime_gc_pause_seconds", "GC stop-the-world pause quantiles (process lifetime).", s.GCPause)
-	summary("womd_runtime_sched_latency_seconds", "Goroutine scheduling latency quantiles (process lifetime).", s.SchedLatency)
 }

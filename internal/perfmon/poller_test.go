@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"womcpcm/internal/metrics"
 )
 
 func TestPollerSnapshot(t *testing.T) {
@@ -46,7 +48,7 @@ func TestPollerWritePromCoversAllFamilies(t *testing.T) {
 	p := NewPoller(time.Hour)
 
 	var empty strings.Builder
-	p.WriteProm(&empty)
+	metrics.Write(&empty, p.Collect())
 	if empty.Len() != 0 {
 		t.Errorf("WriteProm before first poll wrote %q — TYPE lines without samples", empty.String())
 	}
@@ -54,7 +56,7 @@ func TestPollerWritePromCoversAllFamilies(t *testing.T) {
 	p.Start()
 	defer p.Stop()
 	var b strings.Builder
-	p.WriteProm(&b)
+	metrics.Write(&b, p.Collect())
 	body := b.String()
 	for _, name := range RuntimeMetricNames() {
 		if !strings.Contains(body, "# TYPE "+name+" ") {

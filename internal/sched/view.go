@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"io"
-)
+import "womcpcm/internal/metrics"
 
 // TenantView is one tenant's live state in GET /v1/tenants: its configured
 // class, queue occupancy, admission counters, and SLO attainment.
@@ -97,64 +94,47 @@ func (s *Scheduler) Views() []TenantView {
 	return out
 }
 
-// WriteProm renders the womd_tenant_* metric families in Prometheus text
-// exposition format — wired into GET /metrics via engine.WithPromAppender
-// when womd runs with -tenants.
-func (s *Scheduler) WriteProm(w io.Writer) {
-	views := s.Views()
-	if len(views) == 0 {
-		return
+// Collect returns the womd_tenant_* metric families, wired into
+// GET /metrics via engine.WithCollector when womd runs with -tenants.
+func (s *Scheduler) Collect() []metrics.Family {
+	fams := []metrics.Family{
+		{Name: "womd_tenant_depth", Help: "Queued jobs per tenant.", Type: "gauge"},
+		{Name: "womd_tenant_inflight", Help: "Executing jobs per tenant.", Type: "gauge"},
+		{Name: "womd_tenant_admitted_total", Help: "Jobs admitted per tenant.", Type: "counter"},
+		{Name: "womd_tenant_dequeued_total", Help: "Jobs handed to workers per tenant.", Type: "counter"},
+		{Name: "womd_tenant_slo_met_total", Help: "Dequeued jobs that started within their deadline.", Type: "counter"},
+		{Name: "womd_tenant_slo_attainment", Help: "Fraction of dequeued jobs that met their deadline.", Type: "gauge"},
+		{Name: "womd_tenant_shed_at_depth", Help: "Total queued depth at which this tenant sheds.", Type: "gauge"},
+		{Name: "womd_tenant_slo_attainment_window", Help: "Fraction of dequeues meeting their deadline over a trailing window.", Type: "gauge"},
+		{Name: "womd_tenant_shed_total", Help: "Jobs shed per tenant by reason.", Type: "counter"},
+		{Name: "womd_tenant_queue_wait_p95_seconds", Help: "Per-tenant p95 queue wait observed at dequeue.", Type: "gauge"},
 	}
-	family := func(name, help, typ string, emit func(v TenantView)) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, v := range views {
-			emit(v)
+	for _, v := range s.Views() {
+		add := func(fam int, value float64, kv ...string) {
+			fams[fam].Samples = append(fams[fam].Samples, metrics.Sample{
+				Labels: metrics.Labels(append([]string{"tenant", v.Name}, kv...)...), Value: value})
 		}
-	}
-	family("womd_tenant_depth", "Queued jobs per tenant.", "gauge", func(v TenantView) {
-		fmt.Fprintf(w, "womd_tenant_depth{tenant=%q} %d\n", v.Name, v.Depth)
-	})
-	family("womd_tenant_inflight", "Executing jobs per tenant.", "gauge", func(v TenantView) {
-		fmt.Fprintf(w, "womd_tenant_inflight{tenant=%q} %d\n", v.Name, v.Inflight)
-	})
-	family("womd_tenant_admitted_total", "Jobs admitted per tenant.", "counter", func(v TenantView) {
-		fmt.Fprintf(w, "womd_tenant_admitted_total{tenant=%q} %d\n", v.Name, v.Admits)
-	})
-	family("womd_tenant_dequeued_total", "Jobs handed to workers per tenant.", "counter", func(v TenantView) {
-		fmt.Fprintf(w, "womd_tenant_dequeued_total{tenant=%q} %d\n", v.Name, v.Dequeues)
-	})
-	family("womd_tenant_slo_met_total", "Dequeued jobs that started within their deadline.", "counter", func(v TenantView) {
-		fmt.Fprintf(w, "womd_tenant_slo_met_total{tenant=%q} %d\n", v.Name, v.SLOMet)
-	})
-	family("womd_tenant_slo_attainment", "Fraction of dequeued jobs that met their deadline.", "gauge", func(v TenantView) {
-		fmt.Fprintf(w, "womd_tenant_slo_attainment{tenant=%q} %g\n", v.Name, v.SLOAttainment)
-	})
-	family("womd_tenant_shed_at_depth", "Total queued depth at which this tenant sheds.", "gauge", func(v TenantView) {
-		fmt.Fprintf(w, "womd_tenant_shed_at_depth{tenant=%q} %d\n", v.Name, v.ShedAtDepth)
-	})
-	family("womd_tenant_slo_attainment_window", "Fraction of dequeues meeting their deadline over a trailing window.", "gauge", func(v TenantView) {
-		fmt.Fprintf(w, "womd_tenant_slo_attainment_window{tenant=%q,window=\"1m\"} %g\n", v.Name, v.SLOAttainment1m)
-		fmt.Fprintf(w, "womd_tenant_slo_attainment_window{tenant=%q,window=\"5m\"} %g\n", v.Name, v.SLOAttainment5m)
-		fmt.Fprintf(w, "womd_tenant_slo_attainment_window{tenant=%q,window=\"30m\"} %g\n", v.Name, v.SLOAttainment30m)
-	})
-	// Shed counts carry a reason label; emit a zero "queue_full" sample for
-	// tenants with no sheds so every tenant has a series.
-	fmt.Fprintf(w, "# HELP womd_tenant_shed_total Jobs shed per tenant by reason.\n"+
-		"# TYPE womd_tenant_shed_total counter\n")
-	for _, v := range views {
+		add(0, float64(v.Depth))
+		add(1, float64(v.Inflight))
+		add(2, float64(v.Admits))
+		add(3, float64(v.Dequeues))
+		add(4, float64(v.SLOMet))
+		add(5, v.SLOAttainment)
+		add(6, float64(v.ShedAtDepth))
+		add(7, v.SLOAttainment1m, "window", "1m")
+		add(7, v.SLOAttainment5m, "window", "5m")
+		add(7, v.SLOAttainment30m, "window", "30m")
+		// Shed counts carry a reason label; a zero "queue_full" sample for
+		// tenants with no sheds gives every tenant a series.
 		if len(v.ShedReasons) == 0 {
-			fmt.Fprintf(w, "womd_tenant_shed_total{tenant=%q,reason=\"queue_full\"} 0\n", v.Name)
-			continue
+			add(8, 0, "reason", "queue_full")
 		}
 		for _, reason := range []string{"queue_full", "priority_shed", "tenant_queue_full"} {
 			if n, ok := v.ShedReasons[reason]; ok {
-				fmt.Fprintf(w, "womd_tenant_shed_total{tenant=%q,reason=%q} %d\n", v.Name, reason, n)
+				add(8, float64(n), "reason", reason)
 			}
 		}
+		add(9, v.QueueWaitP95Ms/1e3)
 	}
-	fmt.Fprintf(w, "# HELP womd_tenant_queue_wait_p95_seconds Per-tenant p95 queue wait observed at dequeue.\n"+
-		"# TYPE womd_tenant_queue_wait_p95_seconds gauge\n")
-	for _, v := range views {
-		fmt.Fprintf(w, "womd_tenant_queue_wait_p95_seconds{tenant=%q} %g\n", v.Name, v.QueueWaitP95Ms/1e3)
-	}
+	return fams
 }

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"womcpcm/internal/metrics"
 )
 
 // Config parameterizes a Recorder. The zero value is usable: service
@@ -302,24 +304,18 @@ func sortSpans(spans []Span) {
 	})
 }
 
-// WriteProm emits the recorder's own health as Prometheus text families.
-func (r *Recorder) WriteProm(w io.Writer) {
+// Collect returns the recorder's own health as metric families.
+func (r *Recorder) Collect() []metrics.Family {
 	if r == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
 	recorded, evicted, sampledOut, buffered := r.recorded, r.evicted, r.sampledOut, r.count
 	r.mu.Unlock()
-	fmt.Fprintf(w, "# HELP womd_spans_recorded_total Spans accepted into the trace buffer.\n")
-	fmt.Fprintf(w, "# TYPE womd_spans_recorded_total counter\n")
-	fmt.Fprintf(w, "womd_spans_recorded_total %d\n", recorded)
-	fmt.Fprintf(w, "# HELP womd_spans_evicted_total Spans evicted from the full trace buffer.\n")
-	fmt.Fprintf(w, "# TYPE womd_spans_evicted_total counter\n")
-	fmt.Fprintf(w, "womd_spans_evicted_total %d\n", evicted)
-	fmt.Fprintf(w, "# HELP womd_spans_sampled_out_total Traces dropped by head sampling.\n")
-	fmt.Fprintf(w, "# TYPE womd_spans_sampled_out_total counter\n")
-	fmt.Fprintf(w, "womd_spans_sampled_out_total %d\n", sampledOut)
-	fmt.Fprintf(w, "# HELP womd_spans_buffered Spans currently held in the trace buffer.\n")
-	fmt.Fprintf(w, "# TYPE womd_spans_buffered gauge\n")
-	fmt.Fprintf(w, "womd_spans_buffered %d\n", buffered)
+	return []metrics.Family{
+		metrics.Counter("womd_spans_recorded_total", "Spans accepted into the trace buffer.", float64(recorded)),
+		metrics.Counter("womd_spans_evicted_total", "Spans evicted from the full trace buffer.", float64(evicted)),
+		metrics.Counter("womd_spans_sampled_out_total", "Traces dropped by head sampling.", float64(sampledOut)),
+		metrics.Gauge("womd_spans_buffered", "Spans currently held in the trace buffer.", float64(buffered)),
+	}
 }

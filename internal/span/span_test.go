@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"womcpcm/internal/metrics"
 )
 
 func TestBufferBounding(t *testing.T) {
@@ -29,7 +31,7 @@ func TestBufferBounding(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	rec.WriteProm(&buf)
+	metrics.Write(&buf, rec.Collect())
 	out := buf.String()
 	if !strings.Contains(out, "womd_spans_evicted_total 6") {
 		t.Errorf("WriteProm missing eviction count:\n%s", out)

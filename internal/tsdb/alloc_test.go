@@ -1,8 +1,9 @@
 package tsdb
 
 import (
-	"io"
 	"testing"
+
+	"womcpcm/internal/metrics"
 )
 
 // The disabled history plane (-history=false → nil *DB) must cost one
@@ -55,14 +56,13 @@ func BenchmarkScrapeOnce(b *testing.B) {
 	}
 	defer db.Close()
 	// A realistic exposition: ~200 series.
-	var text []byte
+	fam := metrics.Family{Name: "womd_bench_metric", Type: "gauge"}
 	for i := 0; i < 200; i++ {
-		text = append(text, []byte("womd_bench_metric{idx=\""+string(rune('a'+i%26))+"\",grp=\""+string(rune('a'+i/26))+"\"} 1.5\n")...)
+		fam.Samples = append(fam.Samples, metrics.Sample{
+			Labels: metrics.Labels("idx", string(rune('a'+i%26)), "grp", string(rune('a'+i/26))), Value: 1.5})
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		db.ScrapeOnce(func(w io.Writer) {
-			w.Write(text) //nolint:errcheck
-		})
+		db.ScrapeOnce(func() []metrics.Family { return []metrics.Family{fam} })
 	}
 }

@@ -1,5 +1,5 @@
 // Package tsdb is womd's embedded metrics history: a small time-series
-// store that scrapes the process's own Prometheus exposition (including
+// store that records the process's own metric families (including
 // federated womd_fleet_* families on a coordinator) on a fixed interval,
 // holds recent samples in Gorilla-style compressed chunks, downsamples
 // them through retention tiers that preserve min/max/sum/count and
@@ -9,17 +9,16 @@
 package tsdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"womcpcm/internal/metrics"
 	"womcpcm/internal/seglog"
 )
 
@@ -253,15 +252,12 @@ type DB struct {
 	scrapes      uint64
 	scrapeErrs   uint64
 	samplesTotal uint64
-	malformed    uint64
 	lastScrapeAt time.Time
 	lastFlush    time.Time
 
 	started bool
 	stop    chan struct{}
 	done    chan struct{}
-
-	scratch []scrapedSample // reused scrape parse buffer
 }
 
 // Open builds a DB and, when opts.Dir is set, replays its segment log —
@@ -423,9 +419,7 @@ func (db *DB) getSeries(metric string, labels map[string]string) *series {
 	if s, ok := db.series[key]; ok {
 		return s
 	}
-	// Clone the metric name: during a scrape it is a slice of the full
-	// exposition buffer, which the series must not pin.
-	s := &series{metric: strings.Clone(metric), labels: labels, key: key}
+	s := &series{metric: metric, labels: labels, key: key}
 	s.aggs = db.aggsFor(s)
 	db.series[key] = s
 	return s
@@ -442,11 +436,10 @@ func (db *DB) aggsFor(s *series) []*aggState {
 	return s.aggs
 }
 
-// Start launches the self-scrape loop. gather must write the full
-// Prometheus exposition to scrape (engine Server.WriteProm); it is called
-// outside the DB lock, so the exposition may itself include the DB's own
-// WriteProm output. No-op on nil.
-func (db *DB) Start(gather func(io.Writer)) {
+// Start launches the self-scrape loop. gather returns the families to
+// record (engine Server.Collect); it is called outside the DB lock, so
+// they may include the DB's own Collect families. No-op on nil.
+func (db *DB) Start(gather func() []metrics.Family) {
 	if db == nil || gather == nil {
 		return
 	}
@@ -475,15 +468,14 @@ func (db *DB) Start(gather func(io.Writer)) {
 	}()
 }
 
-// ScrapeOnce gathers one exposition and ingests every sample at the
-// current time. Exposed for deterministic tests and the smoke script.
-// No-op on nil.
-func (db *DB) ScrapeOnce(gather func(io.Writer)) {
+// ScrapeOnce gathers the families once and ingests every sample at the
+// current time, keyed by family name plus suffix and the sample's labels.
+// Exposed for deterministic tests and the smoke script. No-op on nil.
+func (db *DB) ScrapeOnce(gather func() []metrics.Family) {
 	if db == nil || gather == nil {
 		return
 	}
-	var buf bytes.Buffer
-	gather(&buf) // outside db.mu: the exposition includes db.WriteProm
+	fams := gather() // outside db.mu: the families include db.Collect
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -491,21 +483,22 @@ func (db *DB) ScrapeOnce(gather func(io.Writer)) {
 		return
 	}
 	now := db.now()
-	samples, malformed := parseExposition(buf.String(), db.scratch)
-	db.scratch = samples[:0]
 	db.scrapes++
-	db.malformed += uint64(malformed)
 	db.lastScrapeAt = now
 	t := now.UnixMilli()
-	for _, sm := range samples {
-		labels, err := parseLabels(sm.labels)
-		if err != nil {
-			db.malformed++
-			continue
+	for _, f := range fams {
+		for _, sm := range f.Samples {
+			var labels map[string]string
+			if len(sm.Labels) > 0 {
+				labels = make(map[string]string, len(sm.Labels))
+				for _, l := range sm.Labels {
+					labels[l.Name] = l.Value
+				}
+			}
+			db.ingestLocked(db.getSeries(f.Name+sm.Suffix, labels), t, sm.Value)
+			db.samplesTotal++
 		}
-		db.ingestLocked(db.getSeries(sm.metric, labels), t, sm.value)
 	}
-	db.samplesTotal += uint64(len(samples))
 	db.maintainLocked(now)
 }
 
@@ -777,11 +770,11 @@ func (db *DB) Close() error {
 // gate optional UI without poking internals.
 func (db *DB) Enabled() bool { return db != nil }
 
-// WriteProm emits the history plane's own womd_history_* families. Safe
-// on nil (writes nothing).
-func (db *DB) WriteProm(w io.Writer) {
+// Collect returns the history plane's own womd_history_* families. Nil
+// on a nil DB.
+func (db *DB) Collect() []metrics.Family {
 	if db == nil {
-		return
+		return nil
 	}
 	db.mu.Lock()
 	nSeries := len(db.series)
@@ -799,28 +792,20 @@ func (db *DB) WriteProm(w io.Writer) {
 			nAgg += len(a.done)
 		}
 	}
-	scrapes, errs, samples, malformed := db.scrapes, db.scrapeErrs, db.samplesTotal, db.malformed
+	scrapes, errs, samples := db.scrapes, db.scrapeErrs, db.samplesTotal
 	transitions := len(db.transitions)
 	db.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP womd_history_series Live series tracked by the embedded history store.\n")
-	fmt.Fprintf(w, "# TYPE womd_history_series gauge\nwomd_history_series %d\n", nSeries)
-	fmt.Fprintf(w, "# HELP womd_history_chunks Raw-tier chunks held in memory (sealed plus heads).\n")
-	fmt.Fprintf(w, "# TYPE womd_history_chunks gauge\nwomd_history_chunks %d\n", nChunks)
-	fmt.Fprintf(w, "# HELP womd_history_chunk_bytes Compressed raw-tier bytes held in memory.\n")
-	fmt.Fprintf(w, "# TYPE womd_history_chunk_bytes gauge\nwomd_history_chunk_bytes %d\n", nBytes)
-	fmt.Fprintf(w, "# HELP womd_history_agg_points Downsampled buckets held across aggregate tiers.\n")
-	fmt.Fprintf(w, "# TYPE womd_history_agg_points gauge\nwomd_history_agg_points %d\n", nAgg)
-	fmt.Fprintf(w, "# HELP womd_history_scrapes_total Self-scrape passes completed.\n")
-	fmt.Fprintf(w, "# TYPE womd_history_scrapes_total counter\nwomd_history_scrapes_total %d\n", scrapes)
-	fmt.Fprintf(w, "# HELP womd_history_scrape_errors_total Self-scrape passes that failed.\n")
-	fmt.Fprintf(w, "# TYPE womd_history_scrape_errors_total counter\nwomd_history_scrape_errors_total %d\n", errs)
-	fmt.Fprintf(w, "# HELP womd_history_samples_total Samples ingested.\n")
-	fmt.Fprintf(w, "# TYPE womd_history_samples_total counter\nwomd_history_samples_total %d\n", samples)
-	fmt.Fprintf(w, "# HELP womd_history_malformed_lines_total Exposition lines the scraper could not parse.\n")
-	fmt.Fprintf(w, "# TYPE womd_history_malformed_lines_total counter\nwomd_history_malformed_lines_total %d\n", malformed)
-	fmt.Fprintf(w, "# HELP womd_history_alert_transitions Alert lifecycle events held in history.\n")
-	fmt.Fprintf(w, "# TYPE womd_history_alert_transitions gauge\nwomd_history_alert_transitions %d\n", transitions)
+	return []metrics.Family{
+		metrics.Gauge("womd_history_series", "Live series tracked by the embedded history store.", float64(nSeries)),
+		metrics.Gauge("womd_history_chunks", "Raw-tier chunks held in memory (sealed plus heads).", float64(nChunks)),
+		metrics.Gauge("womd_history_chunk_bytes", "Compressed raw-tier bytes held in memory.", float64(nBytes)),
+		metrics.Gauge("womd_history_agg_points", "Downsampled buckets held across aggregate tiers.", float64(nAgg)),
+		metrics.Counter("womd_history_scrapes_total", "Self-scrape passes completed.", float64(scrapes)),
+		metrics.Counter("womd_history_scrape_errors_total", "Self-scrape passes that failed.", float64(errs)),
+		metrics.Counter("womd_history_samples_total", "Samples ingested.", float64(samples)),
+		metrics.Gauge("womd_history_alert_transitions", "Alert lifecycle events held in history.", float64(transitions)),
+	}
 }
 
 // ScrapeInterval reports the configured self-scrape cadence (0 on nil).

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"womcpcm/internal/metrics"
 )
 
 // testClock is a hand-advanced clock shared by a DB under test.
@@ -64,10 +65,11 @@ func TestScrapeIngestAndQueryAvg(t *testing.T) {
 	defer db.Close()
 
 	val := 0.0
-	gather := func(w io.Writer) {
-		fmt.Fprintf(w, "# HELP womd_test_gauge test\n# TYPE womd_test_gauge gauge\n")
-		fmt.Fprintf(w, "womd_test_gauge{zone=\"a\"} %g\n", val)
-		fmt.Fprintf(w, "womd_test_gauge{zone=\"b\"} %g\n", val*2)
+	gather := func() []metrics.Family {
+		return []metrics.Family{{Name: "womd_test_gauge", Help: "test", Type: "gauge", Samples: []metrics.Sample{
+			{Labels: metrics.Labels("zone", "a"), Value: val},
+			{Labels: metrics.Labels("zone", "b"), Value: val * 2},
+		}}}
 	}
 	start := clk.Now().UnixMilli()
 	for i := 0; i < 60; i++ {
@@ -145,8 +147,8 @@ func TestRateDownsampleAgreement(t *testing.T) {
 	defer db.Close()
 
 	v := 0.0
-	gather := func(w io.Writer) {
-		fmt.Fprintf(w, "womd_test_counter_total %g\n", v)
+	gather := func() []metrics.Family {
+		return []metrics.Family{metrics.Counter("womd_test_counter_total", "", v)}
 	}
 	start := clk.Now().UnixMilli()
 	for i := 0; i < 360; i++ { // 30 minutes at 5s
@@ -211,8 +213,8 @@ func TestRestartContinuity(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
 	v := 0.0
-	gather := func(w io.Writer) {
-		fmt.Fprintf(w, "womd_test_counter_total %g\n", v)
+	gather := func() []metrics.Family {
+		return []metrics.Family{metrics.Counter("womd_test_counter_total", "", v)}
 	}
 
 	db := openTestDB(t, dir, clk)
@@ -284,7 +286,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	clk := newTestClock()
 	db := openTestDB(t, dir, clk)
 	v := 0.0
-	gather := func(w io.Writer) { fmt.Fprintf(w, "womd_torn_total %g\n", v) }
+	gather := func() []metrics.Family { return []metrics.Family{metrics.Counter("womd_torn_total", "", v)} }
 	for i := 0; i < 24; i++ {
 		clk.Advance(5 * time.Second)
 		v++
@@ -502,7 +504,7 @@ func TestRetentionPruneAndSegmentGC(t *testing.T) {
 	}
 	defer db.Close()
 	v := 0.0
-	gather := func(w io.Writer) { fmt.Fprintf(w, "womd_prune_total %g\n", v) }
+	gather := func() []metrics.Family { return []metrics.Family{metrics.Counter("womd_prune_total", "", v)} }
 	for i := 0; i < 600; i++ { // 50 minutes
 		clk.Advance(5 * time.Second)
 		v++
@@ -540,37 +542,9 @@ func TestRetentionPruneAndSegmentGC(t *testing.T) {
 	}
 }
 
-func TestParseExposition(t *testing.T) {
-	text := `# HELP womd_jobs_total jobs
-# TYPE womd_jobs_total counter
-womd_jobs_total{state="completed"} 12
-womd_jobs_total{state="failed"} 1
-womd_up 1
-womd_weird{msg="a\"b\\c",other="x,y"} 3.5
-this line is garbage
-womd_ts_suffix 4 1700000000000
-`
-	samples, malformed := parseExposition(text, nil)
-	if malformed != 1 {
-		t.Fatalf("malformed=%d, want 1", malformed)
-	}
-	if len(samples) != 5 {
-		t.Fatalf("samples=%d, want 5: %+v", len(samples), samples)
-	}
-	labels, err := parseLabels(samples[2].labels)
-	if err != nil || len(labels) != 0 {
-		t.Fatalf("bare metric labels: %v %v", labels, err)
-	}
-	labels, err = parseLabels(samples[3].labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if labels["msg"] != `a"b\c` || labels["other"] != "x,y" {
-		t.Fatalf("escaped labels: %+v", labels)
-	}
-	if samples[4].value != 4 {
-		t.Fatalf("timestamped sample value: %v", samples[4].value)
-	}
+// TestCanonicalKey pins series identity: labels sorted by name. (The
+// exposition parser cases that lived here moved to internal/metrics.)
+func TestCanonicalKey(t *testing.T) {
 	if canonicalKey("m", map[string]string{"b": "2", "a": "1"}) != `m{a="1",b="2"}` {
 		t.Fatal("canonicalKey not sorted")
 	}
@@ -579,11 +553,13 @@ womd_ts_suffix 4 1700000000000
 func TestNilDBIsInert(t *testing.T) {
 	var db *DB
 	db.Start(nil)
-	db.ScrapeOnce(func(io.Writer) {})
+	db.ScrapeOnce(func() []metrics.Family { return nil })
 	db.Append("m", nil, 1, 2)
 	db.ObserveJob("exp", 0.5)
 	db.AppendAlertTransition(time.Now(), "firing", "k", nil)
-	db.WriteProm(io.Discard)
+	if db.Collect() != nil {
+		t.Fatal("nil DB collected families")
+	}
 	if db.Enabled() {
 		t.Fatal("nil DB reports enabled")
 	}
@@ -605,11 +581,12 @@ func TestScrapeLoopStartStop(t *testing.T) {
 	}
 	var mu sync.Mutex
 	n := 0
-	db.Start(func(w io.Writer) {
+	db.Start(func() []metrics.Family {
 		mu.Lock()
 		n++
+		v := float64(n)
 		mu.Unlock()
-		fmt.Fprintf(w, "womd_loop_total %d\n", n)
+		return []metrics.Family{metrics.Counter("womd_loop_total", "", v)}
 	})
 	deadline := time.Now().Add(2 * time.Second)
 	for {
