@@ -33,7 +33,9 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
 # Probe overhead benchmarks: RunNilProbe is the zero-overhead baseline the
-# instrumentation contract promises (compare against Counter/Ring).
+# instrumentation contract promises (compare against Counter/Ring). The
+# event loop itself is allocation-free, so RunNilProbe's allocs/op counts
+# controller construction only.
 bench-probe:
 	$(GO) test -run=NONE -bench=Probe -benchmem ./internal/memctrl/
 

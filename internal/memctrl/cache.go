@@ -38,7 +38,7 @@ func newCacheArray(rank int, cfg Config) *cacheArray {
 
 // dispatchCache starts service on a rank's WOM-cache array if possible.
 func (c *Controller) dispatchCache(ca *cacheArray, now Clock) {
-	if ca.inService != nil || ca.queued() == 0 {
+	if ca.inService != nil || ca.empty() {
 		return
 	}
 	if ca.refreshPending && ca.refreshEnd > now {

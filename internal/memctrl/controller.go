@@ -10,6 +10,12 @@ import (
 )
 
 // Request is one memory access in flight through the controller.
+//
+// The controller owns every Request and recycles it through a free list:
+// complete returns it, and newRequest hands it out again fully reset.
+// Nothing may keep a *Request after complete — probe events and the latency
+// hook receive values, and a cache miss spawns its victim before the miss
+// itself completes.
 type Request struct {
 	// ID orders requests by admission.
 	ID uint64
@@ -28,6 +34,9 @@ type Request struct {
 	spawnVictim bool
 	victimBank  int
 	cancels     int
+	// next links the request into its server's queue while it waits and
+	// into the controller's free list once it has completed.
+	next *Request
 }
 
 // server is one serially serviced resource: a main-memory bank or a rank's
@@ -35,11 +44,13 @@ type Request struct {
 // frees and holds it for the service duration.
 type server struct {
 	rank, idx int
-	q         []*Request
-	qHead     int
-	inService *Request
-	busyUntil Clock
-	wom       *womState
+	// head and tail delimit the queue of waiting requests, linked through
+	// Request.next. The queue owns no storage of its own, so a server that
+	// never drains holds only the requests actually waiting.
+	head, tail *Request
+	inService  *Request
+	busyUntil  Clock
+	wom        *womState
 
 	// Write-through row buffer: openRow is the row currently latched (-1
 	// when closed). Reads to the open row skip the array access; writes
@@ -61,44 +72,44 @@ type server struct {
 	abortedRow int
 }
 
-func (s *server) queued() int { return len(s.q) - s.qHead }
+func (s *server) empty() bool { return s.head == nil }
 
 func (s *server) enqueue(r *Request) {
-	if s.qHead > 0 && s.qHead == len(s.q) {
-		s.q = s.q[:0]
-		s.qHead = 0
+	r.next = nil
+	if s.tail == nil {
+		s.head = r
+	} else {
+		s.tail.next = r
 	}
-	s.q = append(s.q, r)
+	s.tail = r
 }
 
-func (s *server) pop() *Request {
-	r := s.q[s.qHead]
-	s.q[s.qHead] = nil
-	s.qHead++
-	if s.qHead == len(s.q) {
-		s.q = s.q[:0]
-		s.qHead = 0
+// unlink removes r from the queue; prev is the request before it, nil when
+// r is the head.
+func (s *server) unlink(prev, r *Request) *Request {
+	if prev == nil {
+		s.head = r.next
+	} else {
+		prev.next = r.next
 	}
+	if s.tail == r {
+		s.tail = prev
+	}
+	r.next = nil
 	return r
 }
+
+func (s *server) pop() *Request { return s.unlink(nil, s.head) }
 
 // popPreferred pops the first queued read when readFirst is set (read
 // priority scheduling, [7]); otherwise plain FIFO.
 func (s *server) popPreferred(readFirst bool) *Request {
-	if !readFirst {
-		return s.pop()
-	}
-	for i := s.qHead; i < len(s.q); i++ {
-		if s.q[i].Op == trace.Read {
-			r := s.q[i]
-			copy(s.q[s.qHead+1:i+1], s.q[s.qHead:i])
-			s.q[s.qHead] = nil
-			s.qHead++
-			if s.qHead == len(s.q) {
-				s.q = s.q[:0]
-				s.qHead = 0
+	if readFirst {
+		var prev *Request
+		for r := s.head; r != nil; prev, r = r, r.next {
+			if r.Op == trace.Read {
+				return s.unlink(prev, r)
 			}
-			return r
 		}
 	}
 	return s.pop()
@@ -106,19 +117,16 @@ func (s *server) popPreferred(readFirst bool) *Request {
 
 // pushFront returns a cancelled write to the head of the queue.
 func (s *server) pushFront(r *Request) {
-	if s.qHead > 0 {
-		s.qHead--
-		s.q[s.qHead] = r
-		return
+	r.next = s.head
+	s.head = r
+	if s.tail == nil {
+		s.tail = r
 	}
-	s.q = append(s.q, nil)
-	copy(s.q[1:], s.q)
-	s.q[0] = r
 }
 
 // idleAt reports whether the server is completely quiescent at time now.
 func (s *server) idleAt(now Clock) bool {
-	return s.inService == nil && s.queued() == 0 && s.busyUntil <= now && !s.refreshPending
+	return s.inService == nil && s.empty() && s.busyUntil <= now && !s.refreshPending
 }
 
 // Controller simulates one memory channel under the configured
@@ -137,6 +145,9 @@ type Controller struct {
 	arrivalsDone bool
 	rrNext       int
 	lastTime     Clock
+	// free is the stack of completed Requests, linked through
+	// Request.next, that newRequest reuses.
+	free *Request
 	// probe receives instrumentation events; nil (the default) disables
 	// them at the cost of one pointer check per emission site.
 	probe *probe.Probe
@@ -219,7 +230,7 @@ func (c *Controller) Run(src trace.Source) (*stats.Run, error) {
 			}
 		case haveEv:
 			c.countEvent()
-			ev := c.popEvent()
+			ev := c.events.pop()
 			c.lastTime = ev.time
 			c.handle(ev)
 		default:
@@ -265,15 +276,29 @@ func (c *Controller) countEvent() {
 func (c *Controller) arrive(rec trace.Record) {
 	c.countEvent()
 	c.lastTime = rec.Time
-	req := &Request{
-		ID:     c.reqID,
+	req := c.newRequest(Request{
 		Op:     rec.Op,
 		Arrive: rec.Time,
 		Loc:    c.mapper.Map(rec.Addr),
+	})
+	c.route(req, rec.Time)
+}
+
+// newRequest admits r as a new in-flight request with the next ID. It
+// reuses a completed Request when one is free; the whole-struct assignment
+// resets every field, so no state carries over from the previous use.
+func (c *Controller) newRequest(r Request) *Request {
+	req := c.free
+	if req != nil {
+		c.free = req.next
+	} else {
+		req = new(Request)
 	}
+	r.ID = c.reqID
+	*req = r
 	c.reqID++
 	c.inFlight++
-	c.route(req, rec.Time)
+	return req
 }
 
 // maybeCancelWrite implements write cancellation ([7]): an arriving read
@@ -357,7 +382,7 @@ func (c *Controller) preemptRefresh(s *server, now Clock) {
 
 // dispatchBank starts service on a main-memory bank if possible.
 func (c *Controller) dispatchBank(s *server, now Clock) {
-	if s.inService != nil || s.queued() == 0 {
+	if s.inService != nil || s.empty() {
 		return
 	}
 	if s.refreshPending && s.refreshEnd > now {
@@ -516,7 +541,8 @@ func (c *Controller) handle(ev event) {
 	}
 }
 
-// complete records a finished request.
+// complete records a finished request and returns it to the free list; the
+// caller must drop its reference.
 func (c *Controller) complete(req *Request, now Clock) {
 	c.run.Class(req.class)
 	if !req.Internal {
@@ -531,6 +557,8 @@ func (c *Controller) complete(req *Request, now Clock) {
 		}
 	}
 	c.inFlight--
+	req.next = c.free
+	c.free = req
 }
 
 // spawnVictim inserts the WOM-cache victim write-back into the main memory
@@ -538,15 +566,12 @@ func (c *Controller) complete(req *Request, now Clock) {
 // inserted into the queue of memory accesses issued to the PCM main
 // memory").
 func (c *Controller) spawnVictim(req *Request, now Clock) {
-	victim := &Request{
-		ID:       c.reqID,
+	victim := c.newRequest(Request{
 		Op:       trace.Write,
 		Arrive:   now,
 		Loc:      pcm.Location{Rank: req.Loc.Rank, Bank: req.victimBank, Row: req.Loc.Row},
 		Internal: true,
-	}
-	c.reqID++
-	c.inFlight++
+	})
 	c.run.VictimWrites++
 	if c.probe != nil {
 		c.probe.Emit(probe.Event{Time: now, Kind: probe.CacheWriteback,

@@ -1,7 +1,5 @@
 package memctrl
 
-import "container/heap"
-
 // eventKind discriminates scheduled simulator events.
 type eventKind uint8
 
@@ -31,31 +29,71 @@ type event struct {
 	token uint64
 }
 
-// eventHeap is a min-heap on (time, seq).
+// eventHeap is a binary min-heap on (time, seq) over plain event values.
+// It is typed rather than built on container/heap so that push and pop move
+// events without boxing them into interface values: the event loop runs
+// allocation-free once the backing array has grown to its peak depth.
+// (time, seq) is a total order, so the pop order is fully determined.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (e event) before(o event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// push inserts e, sifting it up from the bottom.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+}
+
+// pop removes and returns the minimum; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // schedule pushes an event.
 func (c *Controller) schedule(e event) {
 	e.seq = c.seq
 	c.seq++
-	heap.Push(&c.events, e)
+	c.events.push(e)
 }
 
 // nextEventTime peeks at the earliest scheduled event time.
@@ -64,9 +102,4 @@ func (c *Controller) nextEventTime() (Clock, bool) {
 		return 0, false
 	}
 	return c.events[0].time, true
-}
-
-// popEvent removes and returns the earliest event.
-func (c *Controller) popEvent() event {
-	return heap.Pop(&c.events).(event)
 }

@@ -1,5 +1,7 @@
 package memctrl
 
+import "slices"
+
 // womState tracks the per-row WOM-code rewrite budget of one array (a main
 // bank or a rank's WOM-cache array) plus the row address table the
 // PCM-refresh engine consumes (§3.2).
@@ -15,17 +17,19 @@ package memctrl
 // The α-write rewrites the row with the first-write pattern, so it leaves
 // gen = 1, exactly like a completed refresh followed by one demand write.
 type womState struct {
-	k         int
-	gens      map[int]uint32
-	table     []int // FIFO of at-limit rows awaiting refresh
-	tableSize int
+	k    int
+	gens map[int]uint32
+	// table is the FIFO of at-limit rows awaiting refresh. Its capacity is
+	// the table depth, allocated once; entries shift down in place on
+	// removal, so the table never reallocates.
+	table []int
 	// dirty treats unseen rows as already at the rewrite limit (the
 	// long-running-system assumption); fresh arrays treat them as erased.
 	dirty bool
 }
 
 func newWOMState(k, tableSize int, dirty bool) *womState {
-	return &womState{k: k, gens: make(map[int]uint32), tableSize: tableSize, dirty: dirty}
+	return &womState{k: k, gens: make(map[int]uint32), table: make([]int, 0, tableSize), dirty: dirty}
 }
 
 // gen returns the row's consumed-write count, applying the dirty-start
@@ -73,7 +77,7 @@ func (w *womState) popCandidate() (int, bool) {
 		return 0, false
 	}
 	row := w.table[0]
-	w.table = w.table[1:]
+	w.table = slices.Delete(w.table, 0, 1)
 	return row, true
 }
 
@@ -97,27 +101,21 @@ func (w *womState) abortRefresh(row int) {
 }
 
 // pushLimit records row in the table, keeping only the most recent
-// tableSize entries (the paper's 5-deep row address buffer); older entries
+// cap(table) entries (the paper's 5-deep row address buffer); older entries
 // fall out and will be repaired by a demand α-write instead.
 func (w *womState) pushLimit(row int) {
-	for _, r := range w.table {
-		if r == row {
-			return
-		}
+	if slices.Contains(w.table, row) {
+		return
 	}
-	if len(w.table) == w.tableSize {
-		copy(w.table, w.table[1:])
-		w.table = w.table[:len(w.table)-1]
+	if len(w.table) == cap(w.table) {
+		w.table = slices.Delete(w.table, 0, 1)
 	}
 	w.table = append(w.table, row)
 }
 
 // dropLimit removes row from the table if present.
 func (w *womState) dropLimit(row int) {
-	for i, r := range w.table {
-		if r == row {
-			w.table = append(w.table[:i], w.table[i+1:]...)
-			return
-		}
+	if i := slices.Index(w.table, row); i >= 0 {
+		w.table = slices.Delete(w.table, i, i+1)
 	}
 }
