@@ -33,7 +33,7 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
 # Probe overhead benchmarks: RunNilProbe is the zero-overhead baseline the
-# instrumentation contract promises (compare against Counter/Ring). The
+# instrumentation contract promises (compare against Counter/Telemetry). The
 # event loop itself is allocation-free, so RunNilProbe's allocs/op counts
 # controller construction only.
 bench-probe:

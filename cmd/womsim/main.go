@@ -40,6 +40,7 @@ import (
 	"womcpcm/internal/sim"
 	"womcpcm/internal/stats"
 	"womcpcm/internal/telemetry"
+	"womcpcm/internal/trace"
 	"womcpcm/internal/workload"
 )
 
@@ -250,7 +251,7 @@ func printDetail(params sim.Params, bench string) error {
 		if err != nil {
 			return err
 		}
-		run, err := sys.Simulate(traceLimit(gen, cfg.Requests))
+		run, err := sys.Simulate(trace.NewLimit(gen, cfg.Requests))
 		if err != nil {
 			return err
 		}

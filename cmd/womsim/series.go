@@ -1,38 +1,26 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"time"
 
 	"womcpcm/internal/core"
+	"womcpcm/internal/memctrl"
 	"womcpcm/internal/probe"
 	"womcpcm/internal/sim"
+	"womcpcm/internal/stats"
 	"womcpcm/internal/telemetry"
-	"womcpcm/internal/workload"
 )
 
 // runSeries replays one benchmark workload on all four architectures with a
 // telemetry collector attached and writes the windowed time series of every
 // architecture into a single JSON document — the input of `womtool report`.
 func runSeries(params sim.Params, path string, window time.Duration) error {
-	cfg, err := params.Config(context.Background())
+	b, err := pickBench(params, "series")
 	if err != nil {
 		return err
-	}
-	p := cfg.Profiles[0]
-	if len(cfg.Profiles) > 1 {
-		fmt.Fprintf(os.Stderr, "womsim: -series instruments one benchmark; using %s (narrow with -bench)\n", p.Name)
-	}
-	requests := cfg.Requests
-	if requests <= 0 {
-		requests = 200000
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
 	}
 	windowNs := window.Nanoseconds()
 	if windowNs <= 0 {
@@ -41,37 +29,21 @@ func runSeries(params sim.Params, path string, window time.Duration) error {
 
 	doc := telemetry.Document{
 		Schema:   telemetry.SchemaVersion,
-		Workload: p.Name,
-		Requests: requests,
-		Seed:     seed,
+		Workload: b.profile.Name,
+		Requests: b.requests,
+		Seed:     b.seed,
 		WindowNs: windowNs,
 	}
-	for _, a := range core.Arches() {
-		banks := cfg.Geometry.Ranks * cfg.Geometry.BanksPerRank
-		if a == core.WCPCM {
-			banks += cfg.Geometry.Ranks
+	if err := b.eachArch(func(a core.Arch, cfg memctrl.Config) ([]probe.Sink, func(*stats.Run)) {
+		col := telemetry.New(telemetry.Options{WindowNs: windowNs, Banks: cfg.Servers()})
+		return []probe.Sink{col}, func(run *stats.Run) {
+			s := col.Finish(a.String(), run.SimulatedNs)
+			doc.Series = append(doc.Series, *s)
+			fmt.Fprintf(os.Stderr, "womsim: %-16s %d windows of %s, %.2f ms simulated, %d writes\n",
+				a.String(), len(s.Windows), window, float64(run.SimulatedNs)/1e6, s.Totals().Total())
 		}
-		col := telemetry.New(telemetry.Options{WindowNs: windowNs, Banks: banks})
-		opts := core.DefaultOptions()
-		opts.Geometry = cfg.Geometry
-		opts.Probe = probe.New(col)
-		opts.Latency = col.ObserveLatency
-		sys, err := core.NewSystem(a, opts)
-		if err != nil {
-			return err
-		}
-		gen, err := workload.NewGenerator(p, cfg.Geometry, seed)
-		if err != nil {
-			return err
-		}
-		run, err := sys.Simulate(traceLimit(gen, requests))
-		if err != nil {
-			return fmt.Errorf("series: %s on %s: %w", p.Name, a, err)
-		}
-		s := col.Finish(a.String(), run.SimulatedNs)
-		doc.Series = append(doc.Series, *s)
-		fmt.Fprintf(os.Stderr, "womsim: %-16s %d windows of %s, %.2f ms simulated, %d writes\n",
-			a.String(), len(s.Windows), window, float64(run.SimulatedNs)/1e6, s.Totals().Total())
+	}); err != nil {
+		return err
 	}
 
 	f, err := os.Create(path)

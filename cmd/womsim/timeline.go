@@ -1,15 +1,15 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"sort"
 
 	"womcpcm/internal/core"
+	"womcpcm/internal/memctrl"
 	"womcpcm/internal/probe"
 	"womcpcm/internal/sim"
-	"womcpcm/internal/workload"
+	"womcpcm/internal/stats"
 )
 
 // runTimeline replays one benchmark workload on all four architectures with
@@ -19,46 +19,19 @@ import (
 // and busy intervals as slices. The file opens directly in Perfetto
 // (ui.perfetto.dev) or chrome://tracing.
 func runTimeline(params sim.Params, path string, limit int) error {
-	cfg, err := params.Config(context.Background())
+	b, err := pickBench(params, "timeline")
 	if err != nil {
 		return err
 	}
-	p := cfg.Profiles[0]
-	if len(cfg.Profiles) > 1 {
-		fmt.Fprintf(os.Stderr, "womsim: -timeline instruments one benchmark; using %s (narrow with -bench)\n", p.Name)
-	}
-	requests := cfg.Requests
-	if requests <= 0 {
-		requests = 200000
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-
-	arches := core.Arches()
-	sinks := make([]*probe.TimelineSink, len(arches))
-	for i, a := range arches {
-		sinks[i] = probe.NewTimelineSink(i+1, a.String(), limit)
+	var sinks []*probe.TimelineSink
+	if err := b.eachArch(func(a core.Arch, _ memctrl.Config) ([]probe.Sink, func(*stats.Run)) {
+		tl := probe.NewTimelineSink(len(sinks)+1, a.String(), limit)
+		sinks = append(sinks, tl)
 		counters := probe.NewCounterSink()
-		opts := core.DefaultOptions()
-		opts.Geometry = cfg.Geometry
-		opts.Probe = probe.New(counters, sinks[i])
-		sys, err := core.NewSystem(a, opts)
-		if err != nil {
-			return err
-		}
-		gen, err := workload.NewGenerator(p, cfg.Geometry, seed)
-		if err != nil {
-			return err
-		}
-		run, err := sys.Simulate(traceLimit(gen, requests))
-		if err != nil {
-			return fmt.Errorf("timeline: %s on %s: %w", p.Name, a, err)
-		}
-		fmt.Fprintf(os.Stderr, "womsim: %-16s %d events (%d dropped), %d requests, %.2f ms simulated\n",
-			a.String(), sinks[i].Len(), sinks[i].Dropped(), requests, float64(run.SimulatedNs)/1e6)
-		if counts := counters.Counts(); len(counts) > 0 {
+		return []probe.Sink{counters, tl}, func(run *stats.Run) {
+			fmt.Fprintf(os.Stderr, "womsim: %-16s %d events (%d dropped), %d requests, %.2f ms simulated\n",
+				a.String(), tl.Len(), tl.Dropped(), b.requests, float64(run.SimulatedNs)/1e6)
+			counts := counters.Counts()
 			kinds := make([]string, 0, len(counts))
 			for k := range counts {
 				kinds = append(kinds, k)
@@ -68,6 +41,8 @@ func runTimeline(params sim.Params, path string, limit int) error {
 				fmt.Fprintf(os.Stderr, "womsim:   %-20s %d\n", k, counts[k])
 			}
 		}
+	}); err != nil {
+		return err
 	}
 
 	f, err := os.Create(path)

@@ -12,11 +12,9 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"womcpcm/internal/memctrl"
 	"womcpcm/internal/pcm"
-	"womcpcm/internal/probe"
 	"womcpcm/internal/stats"
 	"womcpcm/internal/trace"
 )
@@ -75,21 +73,6 @@ type Options struct {
 	// The default (false) models a long-running system where a row of
 	// unknown state must be assumed to be at the rewrite limit.
 	FreshArrays bool
-	// Probe, when set, streams fine-grained simulator events (write
-	// classification, refresh lifecycle, cache actions, bank occupancy)
-	// to its sinks; see internal/probe. nil disables instrumentation at
-	// zero cost. Probes are single-simulation: attach a fresh one per
-	// Simulate call when running concurrently.
-	Probe *probe.Probe
-	// Latency, when set, observes every completed demand request
-	// (memctrl.Config.Latency) — the telemetry collector's latency feed.
-	// Same single-simulation ownership as Probe.
-	Latency memctrl.LatencyHook
-	// Events, when set, receives a live count of simulator event-loop steps
-	// (memctrl.Config.Events) — the host-time throughput feed internal/perfmon
-	// reads. Unlike Probe and Latency, one counter may be shared by parallel
-	// simulations; the controller advances it atomically in strides.
-	Events *atomic.Int64
 }
 
 // DefaultOptions returns the paper's §5 configuration.
@@ -136,8 +119,7 @@ type System struct {
 // pass DefaultOptions() for the exact §5 setup.
 func NewSystem(arch Arch, opts Options) (*System, error) {
 	opts = opts.normalize()
-	cfg := memctrl.Config{Geometry: opts.Geometry, Timing: opts.Timing,
-		Probe: opts.Probe, Latency: opts.Latency, Events: opts.Events}
+	cfg := memctrl.Config{Geometry: opts.Geometry, Timing: opts.Timing}
 	switch arch {
 	case Baseline:
 	case WOMCode:
@@ -165,7 +147,8 @@ func NewSystem(arch Arch, opts Options) (*System, error) {
 // Arch returns the system's architecture.
 func (s *System) Arch() Arch { return s.arch }
 
-// Config exposes the underlying controller configuration.
+// Config exposes the underlying controller configuration. Callers that
+// instrument a run set its Probe or Events and pass it to memctrl.New.
 func (s *System) Config() memctrl.Config { return s.cfg }
 
 // MemoryOverhead returns the architecture's extra-cell overhead relative to

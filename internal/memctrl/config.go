@@ -176,18 +176,13 @@ type Config struct {
 	// Defaults to one burst.
 	PausePenalty Clock
 	// Probe, when set, receives fine-grained simulator events: write
-	// classification, refresh lifecycle, WOM-cache actions, and bank busy
-	// intervals (see internal/probe). nil — the default — reduces every
-	// instrumentation site to one pointer check, so uninstrumented runs
-	// pay nothing (benchmark-verified; see BenchmarkRunNilProbe). The
-	// probe and its sinks are used from the controller's goroutine only.
+	// classification, refresh lifecycle, WOM-cache actions, bank busy
+	// intervals, and demand request completions (see internal/probe). nil
+	// — the default — reduces every instrumentation site to one pointer
+	// check, so uninstrumented runs pay nothing (benchmark-verified; see
+	// BenchmarkRunNilProbe). The probe and its sinks are used from the
+	// controller's goroutine only.
 	Probe *probe.Probe
-	// Latency, when set, observes every completed demand request:
-	// (completion time, read?, latency). The probe stream carries no demand
-	// latencies, so windowed telemetry (internal/telemetry) hooks in here.
-	// Same contract as Probe: nil costs one pointer check per completion,
-	// and the hook runs on the controller's goroutine.
-	Latency LatencyHook
 	// Events, when set, receives a live count of discrete-event steps the
 	// controller executes: the shared counter is advanced in strides of
 	// eventFlushStride (plus a final flush), so a long simulation's host-time
@@ -199,9 +194,6 @@ type Config struct {
 	// BenchmarkRunEventCounter).
 	Events *atomic.Int64
 }
-
-// LatencyHook observes a completed demand request at simulated time now.
-type LatencyHook func(now Clock, read bool, latency Clock)
 
 // DefaultConfig returns the baseline system with the paper's geometry and
 // timing.
@@ -254,6 +246,17 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Servers counts the serially serviced resources the controller models:
+// every bank, plus one cache array per rank when Cache is set. Telemetry
+// normalizes bank utilization by it.
+func (c Config) Servers() int {
+	n := c.Geometry.Ranks * c.Geometry.BanksPerRank
+	if c.Cache != nil {
+		n += c.Geometry.Ranks
+	}
+	return n
 }
 
 // ArchName derives the paper's name for the configured architecture.

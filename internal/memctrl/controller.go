@@ -13,9 +13,9 @@ import (
 //
 // The controller owns every Request and recycles it through a free list:
 // complete returns it, and newRequest hands it out again fully reset.
-// Nothing may keep a *Request after complete — probe events and the latency
-// hook receive values, and a cache miss spawns its victim before the miss
-// itself completes.
+// Nothing may keep a *Request after complete — probe events receive
+// values, and a cache miss spawns its victim before the miss itself
+// completes.
 type Request struct {
 	// ID orders requests by admission.
 	ID uint64
@@ -151,9 +151,6 @@ type Controller struct {
 	// probe receives instrumentation events; nil (the default) disables
 	// them at the cost of one pointer check per emission site.
 	probe *probe.Probe
-	// latency observes completed demand requests; nil (the default) costs
-	// one pointer check per completion.
-	latency LatencyHook
 	// evLocal accumulates event-loop steps between flushes to the shared
 	// cfg.Events counter; see countEvent.
 	evLocal int64
@@ -172,11 +169,10 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:     cfg,
-		mapper:  mapper,
-		run:     &stats.Run{Arch: cfg.ArchName()},
-		probe:   cfg.Probe,
-		latency: cfg.Latency,
+		cfg:    cfg,
+		mapper: mapper,
+		run:    &stats.Run{Arch: cfg.ArchName()},
+		probe:  cfg.Probe,
 	}
 	c.banks = make([][]*server, cfg.Geometry.Ranks)
 	for r := range c.banks {
@@ -552,8 +548,9 @@ func (c *Controller) complete(req *Request, now Clock) {
 		} else {
 			c.run.WriteLatency.Observe(lat)
 		}
-		if c.latency != nil {
-			c.latency(now, req.Op == trace.Read, lat)
+		if c.probe != nil {
+			c.probe.Emit(probe.Event{Time: req.Arrive, Dur: lat, Kind: probe.RequestDone,
+				Read: req.Op == trace.Read, Rank: req.Loc.Rank, Bank: req.Loc.Bank, Row: req.Loc.Row})
 		}
 	}
 	c.inFlight--

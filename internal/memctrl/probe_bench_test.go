@@ -72,16 +72,9 @@ func BenchmarkRunCounterProbe(b *testing.B) {
 	benchmarkRun(b, probe.New(probe.NewCounterSink()))
 }
 
-// BenchmarkRunRingProbe measures the bounded post-mortem ring sink.
-func BenchmarkRunRingProbe(b *testing.B) {
-	benchmarkRun(b, probe.New(probe.NewRingSink(4096)))
-}
-
-// BenchmarkRunTelemetryProbe measures the windowed telemetry collector on
-// both feeds: the probe bus and the controller latency hook. Compare against
-// BenchmarkRunNilProbe for the enabled-path cost; the disabled path is the
-// nil case, unchanged by the Latency hook (one extra pointer check per
-// completion).
+// BenchmarkRunTelemetryProbe measures the windowed telemetry collector,
+// demand latencies included (probe.RequestDone). Compare against
+// BenchmarkRunNilProbe for the enabled-path cost.
 func BenchmarkRunTelemetryProbe(b *testing.B) {
 	g := pcm.Geometry{Ranks: 2, BanksPerRank: 4, RowsPerBank: 64, ColsPerRow: 16, BitsPerCol: 8, Devices: 8}
 	recs := benchRecords(g, 20000)
@@ -95,7 +88,6 @@ func BenchmarkRunTelemetryProbe(b *testing.B) {
 			WOM:      DefaultWOM(),
 			Refresh:  DefaultRefresh(),
 			Probe:    probe.New(col),
-			Latency:  col.ObserveLatency,
 		}
 		c, err := New(cfg)
 		if err != nil {

@@ -27,9 +27,9 @@ func TestProbeWriteClassificationAndPauseResume(t *testing.T) {
 	rowA := addrOf(t, g, 0, 0, 5)
 	rowB := addrOf(t, g, 0, 0, 9)
 	counters := probe.NewCounterSink()
-	ring := probe.NewRingSink(128)
+	timeline := probe.NewTimelineSink(1, "test", 0)
 	cfg := testConfig(freshWOM(), DefaultRefresh(), nil)
-	cfg.Probe = probe.New(counters, ring)
+	cfg.Probe = probe.New(counters, timeline)
 
 	recs := []trace.Record{
 		{Op: trace.Write, Addr: rowA, Time: 0},   // first write, gen 1
@@ -53,6 +53,7 @@ func TestProbeWriteClassificationAndPauseResume(t *testing.T) {
 		probe.RefreshResumed:   1, // row 5 again at 8000
 		probe.RefreshCompleted: 1, // commits at 8170
 		probe.BankBusy:         3, // one service span per write
+		probe.RequestDone:      3, // one completion per write
 	}
 	for k, n := range want {
 		if got := counters.Count(k); got != n {
@@ -60,7 +61,7 @@ func TestProbeWriteClassificationAndPauseResume(t *testing.T) {
 		}
 	}
 
-	evs := ring.Events()
+	evs := timeline.Events()
 	if paused := kindTimes(evs, probe.RefreshPaused); len(paused) != 1 ||
 		paused[0] != [2]Clock{4000, 10} {
 		t.Errorf("paused spans = %v, want [[4000 10]]", paused)

@@ -27,10 +27,34 @@ type ChromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// ChromeTrace is the top-level trace-event JSON object.
+// ChromeTrace is the top-level trace-event JSON object. Both trace-event
+// exporters build one: simulator timelines here, and request span
+// waterfalls in internal/span.
 type ChromeTrace struct {
 	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// AddProcess appends the process_name metadata record that labels trace
+// process pid.
+func (tr *ChromeTrace) AddProcess(pid int, name string) {
+	tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
+		Name: "process_name", Ph: "M", Pid: pid,
+		Args: map[string]any{"name": name},
+	})
+}
+
+// Sort puts the metadata records first, then the events stably by start
+// time. The format does not require an order, but a stable one keeps diffs
+// and streaming viewers happy.
+func (tr *ChromeTrace) Sort() {
+	sort.SliceStable(tr.TraceEvents, func(i, j int) bool {
+		mi, mj := tr.TraceEvents[i].Ph == "M", tr.TraceEvents[j].Ph == "M"
+		if mi != mj {
+			return mi
+		}
+		return tr.TraceEvents[i].Ts < tr.TraceEvents[j].Ts
+	})
 }
 
 // trackID folds (rank, bank) into a stable thread id: banks of rank r are
@@ -56,10 +80,7 @@ func ChromeTraceOf(sinks ...*TimelineSink) ChromeTrace {
 		if s == nil {
 			continue
 		}
-		tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
-			Name: "process_name", Ph: "M", Pid: s.Pid,
-			Args: map[string]any{"name": s.Label},
-		})
+		tr.AddProcess(s.Pid, s.Label)
 		named := make(map[int]bool)
 		for _, ev := range s.Events() {
 			tid := trackID(ev.Rank, ev.Bank)
@@ -90,15 +111,7 @@ func ChromeTraceOf(sinks ...*TimelineSink) ChromeTrace {
 			tr.TraceEvents = append(tr.TraceEvents, ce)
 		}
 	}
-	// Stable start-time order (metadata first) keeps diffs and streaming
-	// viewers happy; the format itself does not require it.
-	sort.SliceStable(tr.TraceEvents, func(i, j int) bool {
-		mi, mj := tr.TraceEvents[i].Ph == "M", tr.TraceEvents[j].Ph == "M"
-		if mi != mj {
-			return mi
-		}
-		return tr.TraceEvents[i].Ts < tr.TraceEvents[j].Ts
-	})
+	tr.Sort()
 	return tr
 }
 

@@ -1,12 +1,13 @@
 // Package probe is the low-overhead typed event bus of the discrete-event
 // memory simulator (internal/memctrl). The controller emits one Event per
 // interesting occurrence — a classified row write, a refresh lifecycle
-// transition, a WOM-cache action, a bank busy interval — each stamped with
-// the simulated clock and its bank/rank coordinates, and a Probe fans the
-// stream out to composable sinks: cheap always-on counters (CounterSink), a
-// bounded post-mortem ring (RingSink), and a Chrome trace-event exporter
-// (TimelineSink + WriteChromeTrace) whose output opens directly in Perfetto
-// or chrome://tracing.
+// transition, a WOM-cache action, a bank busy interval, a completed demand
+// request — each stamped with the simulated clock and its bank/rank
+// coordinates, and a Probe fans the stream out to composable sinks: cheap
+// always-on counters (CounterSink), the windowed telemetry collector
+// (internal/telemetry), and a Chrome trace-event exporter (TimelineSink +
+// WriteChromeTrace) whose output opens directly in Perfetto or
+// chrome://tracing.
 //
 // The zero-cost contract: a Controller with no probe configured pays exactly
 // one nil pointer check per emission site (see DESIGN.md §9 and the
@@ -23,7 +24,8 @@ type Clock = int64
 
 // Kind classifies an Event. The taxonomy covers the four write classes the
 // paper's mechanisms distinguish, the PCM-refresh lifecycle (§3.2), the
-// WCPCM write-cache actions (§4), and bank occupancy.
+// WCPCM write-cache actions (§4), bank occupancy, and demand request
+// completion (Fig. 5's per-request latency).
 type Kind uint8
 
 const (
@@ -72,6 +74,12 @@ const (
 	// BankBusy spans one service occupancy of a bank or cache array.
 	BankBusy
 
+	// RequestDone marks a demand request's completion: Time is its arrival
+	// and Dur its latency, so Time+Dur is the completion time. Read gives
+	// the direction. Controller-internal traffic (WOM-cache victim
+	// write-backs) emits none.
+	RequestDone
+
 	numKinds
 )
 
@@ -87,7 +95,7 @@ var kindNames = [...]string{
 	"refresh-scheduled", "refresh-started", "refresh-paused",
 	"refresh-resumed", "refresh-completed",
 	"cache-hit", "cache-fill", "cache-evict", "cache-writeback",
-	"bank-busy",
+	"bank-busy", "request-done",
 }
 
 // String names the kind as it appears in timelines and counter snapshots.
@@ -99,7 +107,7 @@ func (k Kind) String() string {
 }
 
 // Category groups kinds for timeline filtering: "write", "refresh",
-// "cache", or "bank".
+// "cache", "bank", or "request".
 func (k Kind) Category() string {
 	switch {
 	case k <= WriteAlpha:
@@ -108,8 +116,10 @@ func (k Kind) Category() string {
 		return "refresh"
 	case k <= CacheWriteback:
 		return "cache"
-	default:
+	case k == BankBusy:
 		return "bank"
+	default:
+		return "request"
 	}
 }
 
@@ -122,6 +132,9 @@ type Event struct {
 	Dur Clock
 	// Kind classifies the event.
 	Kind Kind
+	// Read marks a RequestDone for a read; false for a write. It fills the
+	// padding after Kind, so an Event stays 48 bytes.
+	Read bool
 	// Rank and Bank locate the event; Bank is -1 for rank-scoped events
 	// (the per-rank WOM-cache array, rank-level refresh scheduling).
 	Rank, Bank int

@@ -15,13 +15,14 @@ func TestKindStringsAndCategories(t *testing.T) {
 		}
 		seen[name] = true
 		switch k.Category() {
-		case "write", "refresh", "cache", "bank":
+		case "write", "refresh", "cache", "bank", "request":
 		default:
 			t.Errorf("kind %s: unexpected category %q", name, k.Category())
 		}
 	}
 	if WriteAlpha.Category() != "write" || RefreshPaused.Category() != "refresh" ||
-		CacheEvict.Category() != "cache" || BankBusy.Category() != "bank" {
+		CacheEvict.Category() != "cache" || BankBusy.Category() != "bank" ||
+		RequestDone.Category() != "request" {
 		t.Errorf("category boundaries drifted")
 	}
 }
@@ -45,59 +46,12 @@ func TestProbeFansOut(t *testing.T) {
 	}
 }
 
-func TestRingSinkKeepsTail(t *testing.T) {
-	r := NewRingSink(4)
-	for i := 0; i < 10; i++ {
-		r.Record(Event{Time: Clock(i), Kind: BankBusy})
-	}
-	if r.Total() != 10 {
-		t.Fatalf("Total() = %d, want 10", r.Total())
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len(Events()) = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := Clock(6 + i); ev.Time != want {
-			t.Errorf("Events()[%d].Time = %d, want %d", i, ev.Time, want)
-		}
-	}
-	// Overwritten events must not vanish from the accounting: the snapshot
-	// carries the drop count beside the retained tail.
-	if got := r.Dropped(); got != 6 {
-		t.Errorf("Dropped() = %d, want 6", got)
-	}
-	snap := r.Snapshot()
-	if snap.Total != 10 || snap.Dropped != 6 {
-		t.Errorf("Snapshot Total=%d Dropped=%d, want 10 and 6", snap.Total, snap.Dropped)
-	}
-	if snap.Total-snap.Dropped != uint64(len(snap.Events)) {
-		t.Errorf("Total−Dropped = %d, want len(Events) = %d",
-			snap.Total-snap.Dropped, len(snap.Events))
-	}
-	if len(snap.Events) != 4 || snap.Events[0].Time != 6 {
-		t.Errorf("Snapshot.Events = %+v, want tail starting at time 6", snap.Events)
-	}
-}
-
-func TestRingSinkPartialFill(t *testing.T) {
-	r := NewRingSink(8)
-	r.Record(Event{Time: 1})
-	r.Record(Event{Time: 2})
-	evs := r.Events()
-	if len(evs) != 2 || evs[0].Time != 1 || evs[1].Time != 2 {
-		t.Fatalf("Events() = %+v, want times [1 2]", evs)
-	}
-	if snap := r.Snapshot(); snap.Dropped != 0 || snap.Total != 2 {
-		t.Errorf("Snapshot Total=%d Dropped=%d before wraparound, want 2 and 0",
-			snap.Total, snap.Dropped)
-	}
-}
-
 func TestTimelineSinkLimit(t *testing.T) {
 	s := NewTimelineSink(1, "test", 3)
 	for i := 0; i < 5; i++ {
 		s.Record(Event{Time: Clock(i)})
+		// Request completions are skipped, not retained or dropped.
+		s.Record(Event{Time: Clock(i), Kind: RequestDone})
 	}
 	if s.Len() != 3 || s.Dropped() != 2 {
 		t.Fatalf("Len=%d Dropped=%d, want 3 and 2", s.Len(), s.Dropped())

@@ -44,69 +44,8 @@ func (c *CounterSink) Counts() map[string]uint64 {
 	return out
 }
 
-// RingSink keeps the last N events for post-mortem inspection: when a run
-// misbehaves, the tail of the event stream shows what the controller was
-// doing without paying for full retention.
-type RingSink struct {
-	buf   []Event
-	next  int
-	total uint64
-}
-
-// NewRingSink returns a ring holding the most recent n events (n ≥ 1).
-func NewRingSink(n int) *RingSink {
-	if n < 1 {
-		n = 1
-	}
-	return &RingSink{buf: make([]Event, 0, n)}
-}
-
-// Record implements Sink.
-func (r *RingSink) Record(ev Event) {
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-		return
-	}
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % cap(r.buf)
-}
-
-// Total returns the number of events ever recorded.
-func (r *RingSink) Total() uint64 { return r.total }
-
-// Dropped returns the number of events overwritten by newer ones — the
-// prefix of the stream the ring no longer holds.
-func (r *RingSink) Dropped() uint64 { return r.total - uint64(len(r.buf)) }
-
-// Events returns the retained events oldest-first.
-func (r *RingSink) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// RingSnapshot is a ring's state at one instant: the retained tail plus the
-// loss accounting that tells a reader whether the tail is the whole story.
-type RingSnapshot struct {
-	// Total counts events ever recorded; Dropped counts the overwritten
-	// prefix. Total − Dropped == len(Events).
-	Total   uint64
-	Dropped uint64
-	// Events is the retained tail, oldest-first.
-	Events []Event
-}
-
-// Snapshot exports the ring with its drop accounting. Before this existed,
-// post-mortem consumers read Events() alone and could mistake a truncated
-// tail for the full event stream.
-func (r *RingSink) Snapshot() RingSnapshot {
-	return RingSnapshot{Total: r.total, Dropped: r.Dropped(), Events: r.Events()}
-}
-
-// TimelineSink retains the full event stream of one simulation for Chrome
-// trace-event export, up to a configurable bound. Each sink becomes one
+// TimelineSink retains one simulation's event stream, RequestDone aside,
+// for Chrome trace-event export, up to a configurable bound. Each sink becomes one
 // trace "process" (Pid/Label), so several simulations — e.g. the four
 // architectures replaying the same workload — merge into one timeline.
 type TimelineSink struct {
@@ -126,8 +65,12 @@ func NewTimelineSink(pid int, label string, limit int) *TimelineSink {
 	return &TimelineSink{Pid: pid, Label: label, limit: limit}
 }
 
-// Record implements Sink.
+// Record implements Sink. RequestDone events are skipped: one instant per
+// request would bury the per-bank tracks and use up the limit.
 func (t *TimelineSink) Record(ev Event) {
+	if ev.Kind == RequestDone {
+		return
+	}
 	if t.limit > 0 && len(t.events) >= t.limit {
 		t.dropped++
 		return

@@ -50,7 +50,11 @@ func ChannelScaling(cfg ExpConfig, channels []int) (*ChannelScalingResult, error
 	}
 	if err := cfg.parMap(len(jobs), func(i int) error {
 		j := jobs[i]
-		mc, err := memctrl.NewMultiChannel(mcCfg, channels[j.ch])
+		// The channels of one MultiChannel run one after another, so they
+		// can share one probe.
+		chCfg := mcCfg
+		report := instrument(cfg.Ctx, &chCfg, "")
+		mc, err := memctrl.NewMultiChannel(chCfg, channels[j.ch])
 		if err != nil {
 			return err
 		}
@@ -62,6 +66,7 @@ func ChannelScaling(cfg ExpConfig, channels []int) (*ChannelScalingResult, error
 		if err != nil {
 			return fmt.Errorf("sim: %d channels on %s: %w", channels[j.ch], cfg.Profiles[j.prof].Name, err)
 		}
+		report(run)
 		runs[j.prof][j.ch] = run
 		return nil
 	}); err != nil {

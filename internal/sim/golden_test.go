@@ -6,7 +6,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"sync"
 	"testing"
+
+	"womcpcm/internal/core"
+	"womcpcm/internal/pcm"
+	"womcpcm/internal/telemetry"
+	"womcpcm/internal/workload"
 )
 
 // figAll is the experiment list `womsim -fig all` runs.
@@ -43,5 +49,49 @@ func TestGoldenFigAllDigests(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("seed %d: -fig all digest %s, want %s", seed, got, want)
 		}
+	}
+}
+
+// goldenReplayTelemetryDigest pins the sha256 of sim.Replay's WithTelemetry
+// windows for 20000 qsort records (seed 1, default geometry and window):
+// each architecture's windows in index order, JSON-encoded, concatenated in
+// core.Arches() order.
+const goldenReplayTelemetryDigest = "a003c7f49f8a6b15d32c294ec43d725baa5782eb7cbb1931c43c532c7a49fccf"
+
+func TestGoldenReplayTelemetryDigest(t *testing.T) {
+	p, err := workload.ProfileByName("qsort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := workload.Generate(p, pcm.DefaultGeometry(), 1, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		windows = map[string][]telemetry.Window{}
+	)
+	ctx := WithTelemetry(context.Background(), func(arch string, w telemetry.Window) {
+		mu.Lock()
+		windows[arch] = append(windows[arch], w)
+		mu.Unlock()
+	}, 0)
+	if _, err := Replay(ExpConfig{Ctx: ctx}, "golden", recs); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, a := range core.Arches() {
+		ws := windows[a.String()]
+		if len(ws) == 0 {
+			t.Fatalf("%s: no telemetry windows", a)
+		}
+		if err := enc.Encode(map[string]any{"arch": a.String(), "windows": ws}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenReplayTelemetryDigest {
+		t.Errorf("replay telemetry digest %s, want %s", got, goldenReplayTelemetryDigest)
 	}
 }

@@ -7,9 +7,8 @@ import (
 	"text/tabwriter"
 
 	"womcpcm/internal/core"
-	"womcpcm/internal/probe"
+	"womcpcm/internal/memctrl"
 	"womcpcm/internal/stats"
-	"womcpcm/internal/telemetry"
 	"womcpcm/internal/trace"
 )
 
@@ -46,9 +45,7 @@ func Replay(cfg ExpConfig, label string, recs []trace.Record) (*ReplayResult, er
 		recs = recs[:cfg.Requests]
 	}
 	arches := core.Arches()
-	report := progressOf(cfg.Ctx)
-	telem := telemetryOf(cfg.Ctx)
-	classes := classCountsOf(cfg.Ctx)
+	progress := progressOf(cfg.Ctx)
 	var done atomic.Int64
 	total := int64(len(recs)) * int64(len(arches))
 	res := &ReplayResult{
@@ -62,41 +59,23 @@ func Replay(cfg ExpConfig, label string, recs []trace.Record) (*ReplayResult, er
 		opts := core.DefaultOptions()
 		opts.Geometry = cfg.Geometry
 		opts.Timing = cfg.Timing
-		arch := arches[i].String()
-		var col *telemetry.Collector
-		var counter *probe.CounterSink
-		var sinks []probe.Sink
-		if telem != nil {
-			col = telemetry.New(telemetry.Options{
-				WindowNs: telem.windowNs,
-				Banks:    telemetryBanks(arches[i], cfg.Geometry),
-				OnWindow: func(w telemetry.Window) { telem.f(arch, w) },
-			})
-			opts.Latency = col.ObserveLatency
-			sinks = append(sinks, col)
-		}
-		if classes != nil {
-			counter = probe.NewCounterSink()
-			sinks = append(sinks, counter)
-		}
-		if len(sinks) > 0 {
-			opts.Probe = probe.New(sinks...)
-		}
-		opts.Events = simEventsOf(cfg.Ctx)
 		sys, err := core.NewSystem(arches[i], opts)
 		if err != nil {
 			return err
 		}
-		src := newProgressSource(trace.NewSliceSource(recs), &done, total, report)
-		run, err := sys.Simulate(src)
+		mcCfg := sys.Config()
+		finish := instrument(cfg.Ctx, &mcCfg, arches[i].String())
+		ctrl, err := memctrl.New(mcCfg)
+		if err != nil {
+			return err
+		}
+		src := newProgressSource(trace.NewSliceSource(recs), &done, total, progress)
+		run, err := ctrl.Run(src)
 		if err != nil {
 			return fmt.Errorf("sim: replaying %s on %s: %w", label, arches[i], err)
 		}
 		run.Workload = label
-		if col != nil {
-			col.Finish(arch, run.SimulatedNs)
-		}
-		reportClassCounts(classes, counter)
+		finish(run)
 		res.Runs[i] = run
 		return nil
 	}); err != nil {

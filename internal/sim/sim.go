@@ -15,7 +15,6 @@ import (
 	"womcpcm/internal/core"
 	"womcpcm/internal/memctrl"
 	"womcpcm/internal/pcm"
-	"womcpcm/internal/probe"
 	"womcpcm/internal/stats"
 	"womcpcm/internal/trace"
 	"womcpcm/internal/workload"
@@ -80,50 +79,23 @@ func (c ExpConfig) source(p workload.Profile, g pcm.Geometry) (trace.Source, err
 	return trace.NewLimit(gen, c.Requests), nil
 }
 
-// runArch simulates one benchmark on one architecture. When c.Ctx carries a
-// ClassCountsFunc (WithClassCounts), the simulation's write-class totals are
-// reported through it.
+// runArch simulates one benchmark on one architecture.
 func (c ExpConfig) runArch(a core.Arch, p workload.Profile, g pcm.Geometry) (*stats.Run, error) {
 	opts := core.DefaultOptions()
 	opts.Geometry = g
 	opts.Timing = c.Timing
-	classes := classCountsOf(c.Ctx)
-	var counter *probe.CounterSink
-	if classes != nil {
-		counter = probe.NewCounterSink()
-		opts.Probe = probe.New(counter)
-	}
-	opts.Events = simEventsOf(c.Ctx)
 	sys, err := core.NewSystem(a, opts)
 	if err != nil {
 		return nil, err
 	}
-	src, err := c.source(p, g)
-	if err != nil {
-		return nil, err
-	}
-	run, err := sys.Simulate(src)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", a, p.Name, err)
-	}
-	run.Workload = p.Name
-	reportClassCounts(classes, counter)
-	return run, nil
+	return c.runConfig(sys.Config(), p)
 }
 
 // runConfig simulates one benchmark on an explicit controller config (for
-// ablations that reach past the core presets). Honors WithClassCounts like
-// runArch.
+// ablations that reach past the core presets), with the instruments c.Ctx
+// asks for attached.
 func (c ExpConfig) runConfig(cfg memctrl.Config, p workload.Profile) (*stats.Run, error) {
-	classes := classCountsOf(c.Ctx)
-	var counter *probe.CounterSink
-	if classes != nil && cfg.Probe == nil {
-		counter = probe.NewCounterSink()
-		cfg.Probe = probe.New(counter)
-	}
-	if cfg.Events == nil {
-		cfg.Events = simEventsOf(c.Ctx)
-	}
+	report := instrument(c.Ctx, &cfg, "")
 	ctrl, err := memctrl.New(cfg)
 	if err != nil {
 		return nil, err
@@ -137,7 +109,7 @@ func (c ExpConfig) runConfig(cfg memctrl.Config, p workload.Profile) (*stats.Run
 		return nil, fmt.Errorf("sim: %s on %s: %w", cfg.ArchName(), p.Name, err)
 	}
 	run.Workload = p.Name
-	reportClassCounts(classes, counter)
+	report(run)
 	return run, nil
 }
 

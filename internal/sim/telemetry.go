@@ -3,9 +3,9 @@ package sim
 import (
 	"context"
 
-	"womcpcm/internal/core"
-	"womcpcm/internal/pcm"
+	"womcpcm/internal/memctrl"
 	"womcpcm/internal/probe"
+	"womcpcm/internal/stats"
 	"womcpcm/internal/telemetry"
 )
 
@@ -70,25 +70,45 @@ func classCountsOf(ctx context.Context) ClassCountsFunc {
 	return f
 }
 
-// reportClassCounts delivers a counter sink's write-class totals to f.
-func reportClassCounts(f ClassCountsFunc, cs *probe.CounterSink) {
-	if f == nil || cs == nil {
-		return
+// instrument attaches to cfg the per-run instruments ctx asks for and
+// returns the function that reports them once the run has finished. Every
+// simulation an experiment runs goes through here:
+//   - WithSimEvents: the shared live event counter, as cfg.Events;
+//   - WithClassCounts: a write-class counter on cfg.Probe, reported to the
+//     ClassCountsFunc after the run;
+//   - WithTelemetry, when arch is not empty: a telemetry collector on
+//     cfg.Probe streaming windows labelled arch. Only Replay passes one.
+func instrument(ctx context.Context, cfg *memctrl.Config, arch string) func(*stats.Run) {
+	cfg.Events = simEventsOf(ctx)
+	var sinks []probe.Sink
+	var col *telemetry.Collector
+	if telem := telemetryOf(ctx); telem != nil && arch != "" {
+		col = telemetry.New(telemetry.Options{
+			WindowNs: telem.windowNs,
+			Banks:    cfg.Servers(),
+			OnWindow: func(w telemetry.Window) { telem.f(arch, w) },
+		})
+		sinks = append(sinks, col)
 	}
-	var counts [probe.NumWriteKinds]uint64
-	for k := 0; k < probe.NumWriteKinds; k++ {
-		counts[k] = cs.Count(probe.Kind(k))
+	classes := classCountsOf(ctx)
+	var counter *probe.CounterSink
+	if classes != nil {
+		counter = probe.NewCounterSink()
+		sinks = append(sinks, counter)
 	}
-	f(counts)
-}
-
-// telemetryBanks counts the serially serviced resources behind one
-// architecture's event stream: every bank, plus WCPCM's per-rank cache
-// arrays.
-func telemetryBanks(a core.Arch, g pcm.Geometry) int {
-	n := g.Ranks * g.BanksPerRank
-	if a == core.WCPCM {
-		n += g.Ranks
+	if len(sinks) > 0 {
+		cfg.Probe = probe.New(sinks...)
 	}
-	return n
+	return func(run *stats.Run) {
+		if col != nil {
+			col.Finish(arch, run.SimulatedNs)
+		}
+		if counter != nil {
+			var counts [probe.NumWriteKinds]uint64
+			for k := range counts {
+				counts[k] = counter.Count(probe.Kind(k))
+			}
+			classes(counts)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"womcpcm/internal/core"
@@ -113,25 +114,46 @@ func TestReplayClassCounts(t *testing.T) {
 	}
 }
 
-// TestRunArchClassCounts checks synthetic-benchmark experiments honor
-// WithClassCounts too (the womd /metrics feed must cover every job type).
+// TestRunArchClassCounts checks that every registry experiment honors
+// WithClassCounts and WithSimEvents: the womd /metrics write-class feed and
+// the slow-job monitor's live event rate must cover every job type. replay
+// needs an uploaded trace; TestReplayClassCounts covers it.
 func TestRunArchClassCounts(t *testing.T) {
-	var (
-		mu  sync.Mutex
-		sum uint64
-	)
-	ctx := WithClassCounts(context.Background(), func(c [probe.NumWriteKinds]uint64) {
-		mu.Lock()
-		for _, n := range c {
-			sum += n
-		}
-		mu.Unlock()
-	})
-	cfg := ExpConfig{Requests: 500, Ctx: ctx, Profiles: workload.Profiles()[:1]}
-	if _, err := Fig5(cfg); err != nil {
+	qsort, err := workload.ProfileByName("qsort")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sum == 0 {
-		t.Error("no write-class counts reported from Fig5")
+	for _, exp := range Experiments() {
+		if exp.NeedsTrace {
+			continue
+		}
+		t.Run(exp.Name, func(t *testing.T) {
+			var (
+				mu     sync.Mutex
+				writes uint64
+				events atomic.Int64
+			)
+			ctx := WithClassCounts(context.Background(), func(c [probe.NumWriteKinds]uint64) {
+				mu.Lock()
+				for _, n := range c {
+					writes += n
+				}
+				mu.Unlock()
+			})
+			ctx = WithSimEvents(ctx, &events)
+			params := Params{Requests: 2000, Seed: 1, Bench: []string{"qsort"}}
+			if exp.NeedsProfile {
+				params.Bench, params.Profile = nil, &qsort
+			}
+			if _, err := exp.Run(ctx, params); err != nil {
+				t.Fatal(err)
+			}
+			if writes == 0 {
+				t.Error("no write-class counts reported")
+			}
+			if events.Load() == 0 {
+				t.Error("no live simulator events counted")
+			}
+		})
 	}
 }

@@ -42,10 +42,7 @@ func ChromeTraceOf(spans []Span) probe.ChromeTrace {
 	pidOf := make(map[string]int, len(services))
 	for i, svc := range services {
 		pidOf[svc] = i + 1
-		tr.TraceEvents = append(tr.TraceEvents, probe.ChromeEvent{
-			Name: "process_name", Ph: "M", Pid: i + 1,
-			Args: map[string]any{"name": svc},
-		})
+		tr.AddProcess(i+1, svc)
 	}
 
 	// laneEnds[pid] holds each lane's current wall-clock end; spans were
@@ -91,12 +88,6 @@ func ChromeTraceOf(spans []Span) probe.ChromeTrace {
 		})
 	}
 
-	sort.SliceStable(tr.TraceEvents, func(i, j int) bool {
-		mi, mj := tr.TraceEvents[i].Ph == "M", tr.TraceEvents[j].Ph == "M"
-		if mi != mj {
-			return mi
-		}
-		return tr.TraceEvents[i].Ts < tr.TraceEvents[j].Ts
-	})
+	tr.Sort()
 	return tr
 }

@@ -10,9 +10,8 @@
 // WCPCM hit rates shifting with working-set phase — instead of burying them
 // in one post-mortem number.
 //
-// A Collector subscribes to the probe bus (it implements probe.Sink) and to
-// the controller's latency hook (memctrl.Config.Latency ← ObserveLatency).
-// Like the probe it feeds from, a Collector is owned by a single simulation
+// A Collector subscribes to the probe bus (it implements probe.Sink); demand
+// latencies arrive there as probe.RequestDone events. Like the probe it feeds from, a Collector is owned by a single simulation
 // goroutine and is not safe for concurrent use; give every controller its
 // own and merge the resulting Series afterwards.
 //
@@ -144,12 +143,12 @@ type Window struct {
 	Utilization        float64 `json:"utilization"`
 	MaxBankUtilization float64 `json:"max_bank_utilization"`
 	// Read and Write summarize demand latencies of requests *completing* in
-	// this window (fed by the controller's latency hook).
+	// this window (fed by probe.RequestDone events).
 	Read  LatencySummary `json:"read"`
 	Write LatencySummary `json:"write"`
 	// EnergyPJ prices the window's writes and completed refreshes under the
-	// collector's energy model. Reads are not in the probe event stream, so
-	// this is the write/refresh share only.
+	// collector's energy model. Reads are not priced, so this is the
+	// write/refresh share only.
 	EnergyPJ float64 `json:"energy_pj"`
 }
 
@@ -350,6 +349,18 @@ func (c *Collector) price(a *acc) float64 {
 // Record implements probe.Sink.
 func (c *Collector) Record(ev probe.Event) {
 	switch ev.Kind {
+	case probe.RequestDone:
+		// A demand latency lands in the window of its completion time.
+		now := ev.Time + ev.Dur
+		if a := c.at(now); a != nil {
+			if ev.Read {
+				a.read.Observe(ev.Dur)
+			} else {
+				a.write.Observe(ev.Dur)
+			}
+		}
+		c.advance(now)
+		return
 	case probe.BankBusy:
 		c.span(ev)
 		c.advance(ev.Time + ev.Dur)
@@ -419,21 +430,6 @@ func (c *Collector) span(ev probe.Event) {
 		}
 		t = winEnd
 	}
-}
-
-// ObserveLatency is the controller latency hook (memctrl.Config.Latency):
-// it buckets each completed demand request's latency into the window of its
-// completion time.
-func (c *Collector) ObserveLatency(now Clock, read bool, latency Clock) {
-	a := c.at(now)
-	if a != nil {
-		if read {
-			a.read.Observe(latency)
-		} else {
-			a.write.Observe(latency)
-		}
-	}
-	c.advance(now)
 }
 
 // Finish finalizes every remaining window and returns the completed series.

@@ -134,13 +134,21 @@ func TestRefreshSpansCountAsOccupancy(t *testing.T) {
 	}
 }
 
-func TestLatencyHookSummaries(t *testing.T) {
-	c := New(Options{WindowNs: 1000})
-	for i := 0; i < 100; i++ {
-		c.ObserveLatency(500, true, 64)
+// TestRequestDoneSummaries checks demand latencies fed as probe.RequestDone
+// events: each lands in the window of its completion time (Time+Dur), not
+// of its arrival.
+func TestRequestDoneSummaries(t *testing.T) {
+	c := New(Options{WindowNs: 10_000})
+	done := func(completion, lat Clock, read bool) {
+		c.Record(probe.Event{Time: completion - lat, Dur: lat, Kind: probe.RequestDone, Read: read})
 	}
-	c.ObserveLatency(500, true, 4096)
-	c.ObserveLatency(500, false, 128)
+	for i := 0; i < 100; i++ {
+		done(5000, 64, true)
+	}
+	done(5000, 4096, true)
+	done(5000, 128, false)
+	// Arrives in window 0, completes in window 1.
+	done(11_000, 2000, true)
 	s := finish(c)
 	w := s.Windows[0]
 	if w.Read.Count != 101 || w.Write.Count != 1 {
@@ -159,6 +167,9 @@ func TestLatencyHookSummaries(t *testing.T) {
 	// An empty distribution summarizes to the zero value.
 	if (s.Windows[0].Read == LatencySummary{}) {
 		t.Errorf("read summary unexpectedly empty")
+	}
+	if len(s.Windows) != 2 || s.Windows[1].Read.Count != 1 || s.Windows[1].Read.MaxNs != 2000 {
+		t.Errorf("window 1 read = %+v, want the one 2000 ns read completing at 11000", s.Windows[1].Read)
 	}
 }
 
