@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -43,6 +44,9 @@ import (
 	"womcpcm/internal/trace"
 	"womcpcm/internal/workload"
 )
+
+// figAll is the experiment list `-fig all` runs, in output order.
+var figAll = []string{"fig5", "fig6", "fig7", "rth", "org", "pausing", "code", "sched", "hybrid", "channels"}
 
 func main() {
 	var (
@@ -153,74 +157,86 @@ func main() {
 
 	names := strings.Split(*fig, ",")
 	if strings.TrimSpace(*fig) == "all" {
-		names = []string{"fig5", "fig6", "fig7", "rth", "org", "pausing", "code", "sched", "hybrid", "channels"}
+		names = figAll
 	}
-	for _, name := range names {
-		exp, err := sim.LookupExperiment(name)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := runCached(store, exp, params, *force)
-		if err != nil {
-			fatal(err)
-		}
-		if err := emit(*jsonOut, res); err != nil {
-			fatal(err)
-		}
+	if err := runFigures(os.Stdout, os.Stderr, store, names, params, *jsonOut, *force); err != nil {
+		fatal(err)
 	}
 }
 
-// runCached consults the result store before simulating: a hit is a disk
-// read, a miss (or -force) runs the experiment and persists the result.
-func runCached(store *resultstore.Store, exp sim.Experiment, params sim.Params, force bool) (*sim.Result, error) {
-	if store == nil || !resultstore.Cacheable(exp, params) {
-		return exp.Run(context.Background(), params)
-	}
-	key, err := resultstore.KeyForParams(exp.Name, params, store.SchemaVersion())
-	if err != nil {
-		return nil, err
-	}
-	if !force {
-		if entry, ok := store.Get(key); ok {
-			fmt.Fprintf(os.Stderr, "womsim: %s served from cache %s (key %.12s…)\n",
-				exp.Name, store.Dir(), key)
-			return entry.Result, nil
+// runFigures runs the named experiments and writes their results to w in
+// the order named. It first serves every experiment it can from store (a
+// nil store caches nothing; force re-simulates); the misses then run as one
+// sim.Run call, so a simulation two of them share runs once. Each miss it
+// stores records that call's wall time as WallNs.
+func runFigures(w, stderr io.Writer, store *resultstore.Store, names []string, params sim.Params, jsonOut, force bool) error {
+	var canon []byte // the stored entries' canonical params document
+	if store != nil {
+		doc, err := json.Marshal(params)
+		if err != nil {
+			return err
+		}
+		if canon, err = resultstore.CanonicalJSON(doc); err != nil {
+			return err
 		}
 	}
-	start := time.Now()
-	res, err := exp.Run(context.Background(), params)
-	if err != nil {
-		return nil, err
+	results := make([]*sim.Result, len(names))
+	keys := make([]string, len(names))
+	var miss []sim.Experiment
+	var missAt []int
+	for i, name := range names {
+		exp, err := sim.LookupExperiment(name)
+		if err != nil {
+			return err
+		}
+		if store != nil && resultstore.Cacheable(exp, params) {
+			if keys[i], err = resultstore.KeyForParams(exp.Name, params, store.SchemaVersion()); err != nil {
+				return err
+			}
+			if entry, ok := store.Get(keys[i]); ok && !force {
+				fmt.Fprintf(stderr, "womsim: %s served from cache %s (key %.12s…)\n",
+					exp.Name, store.Dir(), keys[i])
+				results[i] = entry.Result
+				continue
+			}
+		}
+		miss = append(miss, exp)
+		missAt = append(missAt, i)
 	}
-	doc, err := json.Marshal(params)
-	if err != nil {
-		return nil, err
+	if len(miss) > 0 {
+		start := time.Now()
+		ran, err := sim.Run(context.Background(), params, miss...)
+		if err != nil {
+			return err
+		}
+		wall := time.Since(start).Nanoseconds()
+		for j, i := range missAt {
+			results[i] = ran[j]
+			if keys[i] == "" {
+				continue
+			}
+			if err := store.Put(resultstore.Entry{Key: keys[i], Experiment: ran[j].Experiment,
+				Params: canon, Result: ran[j], WallNs: wall}); err != nil {
+				// A broken cache must not cost the freshly computed result.
+				fmt.Fprintf(stderr, "womsim: warning: caching %s failed: %v\n", ran[j].Experiment, err)
+			}
+		}
 	}
-	canon, err := resultstore.CanonicalJSON(doc)
-	if err != nil {
-		return nil, err
+	for _, res := range results {
+		if err := emit(w, jsonOut, res); err != nil {
+			return err
+		}
 	}
-	if err := store.Put(resultstore.Entry{
-		Key:        key,
-		Experiment: exp.Name,
-		Params:     canon,
-		Result:     res,
-		WallNs:     time.Since(start).Nanoseconds(),
-	}); err != nil {
-		// A broken cache must not cost the freshly computed result.
-		fmt.Fprintf(os.Stderr, "womsim: warning: caching %s failed: %v\n", exp.Name, err)
-	}
-	return res, nil
+	return nil
 }
 
 // emit renders a result as its table or as JSON.
-func emit(jsonOut bool, res *sim.Result) error {
+func emit(w io.Writer, jsonOut bool, res *sim.Result) error {
 	if !jsonOut {
-		fmt.Print(res.Text)
-		fmt.Println()
-		return nil
+		_, err := fmt.Fprintf(w, "%s\n", res.Text)
+		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(map[string]any{"experiment": res.Experiment, "result": res.Data})
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"womcpcm/internal/core"
 	"womcpcm/internal/memctrl"
 	"womcpcm/internal/stats"
 )
@@ -21,68 +20,35 @@ type RthSweepResult struct {
 
 // RthSweep runs PCM-refresh at each threshold.
 func RthSweep(cfg ExpConfig, thresholds []float64) (*RthSweepResult, error) {
-	cfg = cfg.normalize()
-	res := &RthSweepResult{
-		Thresholds: append([]float64(nil), thresholds...),
-		NormWrite:  make([]float64, len(thresholds)),
-		Refreshes:  make([]uint64, len(thresholds)),
-		Aborts:     make([]uint64, len(thresholds)),
+	return runOne[*RthSweepResult](cfg, func(cfg ExpConfig, _ Params) (plan, error) { return rthPlan(cfg, thresholds), nil })
+}
+
+func rthPlan(cfg ExpConfig, thresholds []float64) plan {
+	cfgs := []memctrl.Config{cfg.baseline()}
+	for _, th := range thresholds {
+		mc := cfg.baseline()
+		mc.WOM = memctrl.DefaultWOM()
+		mc.Refresh = &memctrl.RefreshConfig{ThresholdPct: th, TableSize: 5}
+		cfgs = append(cfgs, mc)
 	}
-	baseMeans := make([]float64, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		run, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
+	return plan{grid(cfg.Profiles, cfgs...), func(runs []*stats.Run) (any, string, error) {
+		res := &RthSweepResult{
+			Thresholds: append([]float64(nil), thresholds...),
+			NormWrite:  make([]float64, len(thresholds)),
+			Refreshes:  make([]uint64, len(thresholds)),
+			Aborts:     make([]uint64, len(thresholds)),
 		}
-		baseMeans[p] = run.WriteLatency.Mean()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	type job struct{ prof, th int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for t := range thresholds {
-			jobs = append(jobs, job{p, t})
-		}
-	}
-	type cell struct {
-		norm              float64
-		refreshes, aborts uint64
-	}
-	cells := make([][]cell, len(cfg.Profiles))
-	for p := range cells {
-		cells[p] = make([]cell, len(thresholds))
-	}
-	if err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		mc := memctrl.Config{
-			Geometry: cfg.Geometry,
-			Timing:   cfg.Timing,
-			WOM:      memctrl.DefaultWOM(),
-			Refresh:  &memctrl.RefreshConfig{ThresholdPct: thresholds[j.th], TableSize: 5},
-		}
-		run, err := cfg.runConfig(mc, cfg.Profiles[j.prof])
-		if err != nil {
-			return err
-		}
-		cells[j.prof][j.th] = cell{
-			norm:      run.WriteLatency.Mean() / baseMeans[j.prof],
-			refreshes: run.Refreshes,
-			aborts:    run.RefreshAborts,
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for t := range thresholds {
 		for p := range cfg.Profiles {
-			res.NormWrite[t] += cells[p][t].norm / float64(len(cfg.Profiles))
-			res.Refreshes[t] += cells[p][t].refreshes
-			res.Aborts[t] += cells[p][t].aborts
+			runs := runs[p*len(cfgs) : (p+1)*len(cfgs)]
+			for t, run := range runs[1:] {
+				w, _ := run.Normalized(runs[0])
+				res.NormWrite[t] += w / float64(len(cfg.Profiles))
+				res.Refreshes[t] += run.Refreshes
+				res.Aborts[t] += run.RefreshAborts
+			}
 		}
-	}
-	return res, nil
+		return res, RenderRthSweep(res), nil
+	}}
 }
 
 // OrgAblationResult compares the §3.1 memory organizations.
@@ -95,45 +61,27 @@ type OrgAblationResult struct {
 
 // OrgAblation runs WOM-code PCM in both organizations.
 func OrgAblation(cfg ExpConfig) (*OrgAblationResult, error) {
-	cfg = cfg.normalize()
-	res := &OrgAblationResult{}
-	type triple struct{ base, wide, hidden *stats.Run }
-	rows := make([]triple, len(cfg.Profiles))
-	orgCfg := func(org memctrl.Organization) memctrl.Config {
-		return memctrl.Config{
-			Geometry: cfg.Geometry,
-			Timing:   cfg.Timing,
-			WOM:      &memctrl.WOMConfig{Rewrites: 2, Org: org},
+	return runOne[*OrgAblationResult](cfg, orgPlan)
+}
+
+func orgPlan(cfg ExpConfig, _ Params) (plan, error) {
+	wide, hidden := cfg.baseline(), cfg.baseline()
+	wide.WOM = &memctrl.WOMConfig{Rewrites: 2, Org: memctrl.WideColumn}
+	hidden.WOM = &memctrl.WOMConfig{Rewrites: 2, Org: memctrl.HiddenPage}
+	return plan{grid(cfg.Profiles, cfg.baseline(), wide, hidden), func(runs []*stats.Run) (any, string, error) {
+		res := &OrgAblationResult{}
+		n := float64(len(cfg.Profiles))
+		for p := range cfg.Profiles {
+			base, wide, hidden := runs[3*p], runs[3*p+1], runs[3*p+2]
+			ww, wr := wide.Normalized(base)
+			hw, hr := hidden.Normalized(base)
+			res.WideWrite += ww / n
+			res.WideRead += wr / n
+			res.HiddenWrite += hw / n
+			res.HiddenRead += hr / n
 		}
-	}
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		base, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		wide, err := cfg.runConfig(orgCfg(memctrl.WideColumn), cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		hidden, err := cfg.runConfig(orgCfg(memctrl.HiddenPage), cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		rows[p] = triple{base, wide, hidden}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	n := float64(len(cfg.Profiles))
-	for _, r := range rows {
-		ww, wr := r.wide.Normalized(r.base)
-		hw, hr := r.hidden.Normalized(r.base)
-		res.WideWrite += ww / n
-		res.WideRead += wr / n
-		res.HiddenWrite += hw / n
-		res.HiddenRead += hr / n
-	}
-	return res, nil
+		return res, RenderOrgAblation(res), nil
+	}}, nil
 }
 
 // PausingAblationResult compares PCM-refresh with and without write
@@ -148,47 +96,29 @@ type PausingAblationResult struct {
 
 // PausingAblation runs PCM-refresh with pausing on and off.
 func PausingAblation(cfg ExpConfig) (*PausingAblationResult, error) {
-	cfg = cfg.normalize()
-	res := &PausingAblationResult{}
-	refreshCfg := func(noPausing bool) memctrl.Config {
-		return memctrl.Config{
-			Geometry: cfg.Geometry,
-			Timing:   cfg.Timing,
-			WOM:      memctrl.DefaultWOM(),
-			Refresh:  &memctrl.RefreshConfig{ThresholdPct: 10, TableSize: 5, NoPausing: noPausing},
+	return runOne[*PausingAblationResult](cfg, pausingPlan)
+}
+
+func pausingPlan(cfg ExpConfig, _ Params) (plan, error) {
+	with, without := cfg.baseline(), cfg.baseline()
+	with.WOM, without.WOM = memctrl.DefaultWOM(), memctrl.DefaultWOM()
+	with.Refresh = &memctrl.RefreshConfig{ThresholdPct: 10, TableSize: 5}
+	without.Refresh = &memctrl.RefreshConfig{ThresholdPct: 10, TableSize: 5, NoPausing: true}
+	return plan{grid(cfg.Profiles, cfg.baseline(), with, without), func(runs []*stats.Run) (any, string, error) {
+		res := &PausingAblationResult{}
+		n := float64(len(cfg.Profiles))
+		for p := range cfg.Profiles {
+			base, with, without := runs[3*p], runs[3*p+1], runs[3*p+2]
+			ww, wr := with.Normalized(base)
+			ow, or := without.Normalized(base)
+			res.WithWrite += ww / n
+			res.WithRead += wr / n
+			res.WithoutWrite += ow / n
+			res.WithoutRead += or / n
+			res.Aborts += with.RefreshAborts
 		}
-	}
-	type triple struct{ base, with, without *stats.Run }
-	rows := make([]triple, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		base, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		with, err := cfg.runConfig(refreshCfg(false), cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		without, err := cfg.runConfig(refreshCfg(true), cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		rows[p] = triple{base, with, without}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	n := float64(len(cfg.Profiles))
-	for _, r := range rows {
-		ww, wr := r.with.Normalized(r.base)
-		ow, or := r.without.Normalized(r.base)
-		res.WithWrite += ww / n
-		res.WithRead += wr / n
-		res.WithoutWrite += ow / n
-		res.WithoutRead += or / n
-		res.Aborts += r.with.RefreshAborts
-	}
-	return res, nil
+		return res, RenderPausingAblation(res), nil
+	}}, nil
 }
 
 // CodeAblationResult sweeps the rewrite budget k (§3.2: higher k lifts the
@@ -203,58 +133,33 @@ type CodeAblationResult struct {
 
 // CodeAblation runs WOM-code PCM at each rewrite budget.
 func CodeAblation(cfg ExpConfig, rewrites []int) (*CodeAblationResult, error) {
-	cfg = cfg.normalize()
-	model := struct{ s float64 }{float64(cfg.Timing.Set) / float64(cfg.Timing.Reset)}
-	res := &CodeAblationResult{
-		Rewrites:  append([]int(nil), rewrites...),
-		NormWrite: make([]float64, len(rewrites)),
-		Bound:     make([]float64, len(rewrites)),
+	return runOne[*CodeAblationResult](cfg, func(cfg ExpConfig, _ Params) (plan, error) { return codePlan(cfg, rewrites), nil })
+}
+
+func codePlan(cfg ExpConfig, rewrites []int) plan {
+	cfgs := []memctrl.Config{cfg.baseline()}
+	for _, k := range rewrites {
+		mc := cfg.baseline()
+		mc.WOM = &memctrl.WOMConfig{Rewrites: k}
+		cfgs = append(cfgs, mc)
 	}
-	for i, k := range rewrites {
-		res.Bound[i] = (float64(k) - 1 + model.s) / (float64(k) * model.s)
-	}
-	baseMeans := make([]float64, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		run, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
+	return plan{grid(cfg.Profiles, cfgs...), func(runs []*stats.Run) (any, string, error) {
+		s := float64(cfg.Timing.Set) / float64(cfg.Timing.Reset)
+		res := &CodeAblationResult{
+			Rewrites:  append([]int(nil), rewrites...),
+			NormWrite: make([]float64, len(rewrites)),
+			Bound:     make([]float64, len(rewrites)),
 		}
-		baseMeans[p] = run.WriteLatency.Mean()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	type job struct{ prof, k int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for k := range rewrites {
-			jobs = append(jobs, job{p, k})
+		for i, k := range rewrites {
+			res.Bound[i] = (float64(k) - 1 + s) / (float64(k) * s)
 		}
-	}
-	norms := make([][]float64, len(cfg.Profiles))
-	for p := range norms {
-		norms[p] = make([]float64, len(rewrites))
-	}
-	if err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		mc := memctrl.Config{
-			Geometry: cfg.Geometry,
-			Timing:   cfg.Timing,
-			WOM:      &memctrl.WOMConfig{Rewrites: rewrites[j.k]},
-		}
-		run, err := cfg.runConfig(mc, cfg.Profiles[j.prof])
-		if err != nil {
-			return err
-		}
-		norms[j.prof][j.k] = run.WriteLatency.Mean() / baseMeans[j.prof]
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for k := range rewrites {
 		for p := range cfg.Profiles {
-			res.NormWrite[k] += norms[p][k] / float64(len(cfg.Profiles))
+			runs := runs[p*len(cfgs) : (p+1)*len(cfgs)]
+			for k, run := range runs[1:] {
+				w, _ := run.Normalized(runs[0])
+				res.NormWrite[k] += w / float64(len(cfg.Profiles))
+			}
 		}
-	}
-	return res, nil
+		return res, RenderCodeAblation(res), nil
+	}}
 }

@@ -7,8 +7,6 @@ import (
 
 	"womcpcm/internal/memctrl"
 	"womcpcm/internal/stats"
-	"womcpcm/internal/trace"
-	"womcpcm/internal/workload"
 )
 
 // ChannelScalingResult measures the §1 scaling axis the paper leaves on the
@@ -25,63 +23,39 @@ type ChannelScalingResult struct {
 
 // ChannelScaling runs PCM-refresh at each channel count over the workloads.
 func ChannelScaling(cfg ExpConfig, channels []int) (*ChannelScalingResult, error) {
-	cfg = cfg.normalize()
-	res := &ChannelScalingResult{
-		Channels:  append([]int(nil), channels...),
-		NormWrite: make([]float64, len(channels)),
-		NormRead:  make([]float64, len(channels)),
-	}
-	mcCfg := memctrl.Config{
-		Geometry: cfg.Geometry,
-		Timing:   cfg.Timing,
-		WOM:      memctrl.DefaultWOM(),
-		Refresh:  memctrl.DefaultRefresh(),
-	}
-	type job struct{ prof, ch int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for c := range channels {
-			jobs = append(jobs, job{p, c})
+	return runOne[*ChannelScalingResult](cfg, func(cfg ExpConfig, _ Params) (plan, error) { return channelsPlan(cfg, channels) })
+}
+
+func channelsPlan(cfg ExpConfig, channels []int) (plan, error) {
+	mc := cfg.baseline()
+	mc.WOM = memctrl.DefaultWOM()
+	mc.Refresh = memctrl.DefaultRefresh()
+	var cells []cell
+	for _, p := range cfg.Profiles {
+		for _, ch := range channels {
+			if ch < 1 { // a cell's channel count 0 means a plain controller
+				return plan{}, fmt.Errorf("sim: channel count %d < 1", ch)
+			}
+			cells = append(cells, cell{cfg: mc, channels: ch, prof: p})
 		}
 	}
-	runs := make([][]*stats.Run, len(cfg.Profiles))
-	for p := range runs {
-		runs[p] = make([]*stats.Run, len(channels))
-	}
-	if err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		// The channels of one MultiChannel run one after another, so they
-		// can share one probe.
-		chCfg := mcCfg
-		report := instrument(cfg.Ctx, &chCfg, "")
-		mc, err := memctrl.NewMultiChannel(chCfg, channels[j.ch])
-		if err != nil {
-			return err
+	return plan{cells, func(runs []*stats.Run) (any, string, error) {
+		res := &ChannelScalingResult{
+			Channels:  append([]int(nil), channels...),
+			NormWrite: make([]float64, len(channels)),
+			NormRead:  make([]float64, len(channels)),
 		}
-		gen, err := workload.NewGenerator(cfg.Profiles[j.prof], cfg.Geometry, cfg.Seed)
-		if err != nil {
-			return err
+		n := float64(len(cfg.Profiles))
+		for p := range cfg.Profiles {
+			runs := runs[p*len(channels) : (p+1)*len(channels)]
+			for c, run := range runs {
+				w, r := run.Normalized(runs[0])
+				res.NormWrite[c] += w / n
+				res.NormRead[c] += r / n
+			}
 		}
-		run, err := mc.Run(trace.NewLimit(gen, cfg.Requests))
-		if err != nil {
-			return fmt.Errorf("sim: %d channels on %s: %w", channels[j.ch], cfg.Profiles[j.prof].Name, err)
-		}
-		report(run)
-		runs[j.prof][j.ch] = run
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	n := float64(len(cfg.Profiles))
-	for p := range cfg.Profiles {
-		base := runs[p][0]
-		for c := range channels {
-			w, r := runs[p][c].Normalized(base)
-			res.NormWrite[c] += w / n
-			res.NormRead[c] += r / n
-		}
-	}
-	return res, nil
+		return res, RenderChannelScaling(res), nil
+	}}, nil
 }
 
 // RenderChannelScaling formats the sweep.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"womcpcm/internal/core"
+	"womcpcm/internal/memctrl"
 	"womcpcm/internal/stats"
 	"womcpcm/internal/workload"
 )
@@ -40,48 +41,35 @@ func (r *Fig5Result) WriteReduction(a core.Arch) float64 { return reduction(r.Me
 func (r *Fig5Result) ReadReduction(a core.Arch) float64 { return reduction(r.MeanRead[a]) }
 
 // Fig5 runs all benchmarks through all four architectures.
-func Fig5(cfg ExpConfig) (*Fig5Result, error) {
-	cfg = cfg.normalize()
-	rows := make([]Fig5Row, len(cfg.Profiles))
-	type job struct{ prof, arch int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for a := range core.Arches() {
-			jobs = append(jobs, job{p, a})
-		}
-	}
-	runs := make([][]*stats.Run, len(cfg.Profiles))
-	for i := range runs {
-		runs[i] = make([]*stats.Run, len(core.Arches()))
-	}
-	err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		run, err := cfg.runArch(core.Arches()[j.arch], cfg.Profiles[j.prof], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		runs[j.prof][j.arch] = run
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+func Fig5(cfg ExpConfig) (*Fig5Result, error) { return runOne[*Fig5Result](cfg, fig5Plan) }
 
-	res := &Fig5Result{Rows: rows}
-	for p, prof := range cfg.Profiles {
-		base := runs[p][int(core.Baseline)]
-		row := Fig5Row{Benchmark: prof.Name, Suite: prof.Suite}
-		for a, run := range runs[p] {
-			w, r := run.Normalized(base)
-			row.Write[a], row.Read[a] = w, r
-			row.AlphaFraction[a] = run.AlphaFraction()
-			if core.Arch(a) == core.WCPCM {
-				row.CacheHitRate = run.CacheHitRate()
-			}
-			res.MeanWrite[a] += w / float64(len(cfg.Profiles))
-			res.MeanRead[a] += r / float64(len(cfg.Profiles))
+func fig5Plan(cfg ExpConfig, _ Params) (plan, error) {
+	arches := core.Arches()
+	cfgs := make([]memctrl.Config, len(arches))
+	for a, arch := range arches {
+		var err error
+		if cfgs[a], err = cfg.archConfig(arch, cfg.Geometry); err != nil {
+			return plan{}, err
 		}
-		rows[p] = row
 	}
-	return res, nil
+	return plan{grid(cfg.Profiles, cfgs...), func(runs []*stats.Run) (any, string, error) {
+		res := &Fig5Result{Rows: make([]Fig5Row, len(cfg.Profiles))}
+		for p, prof := range cfg.Profiles {
+			row := Fig5Row{Benchmark: prof.Name, Suite: prof.Suite}
+			runs := runs[p*len(arches) : (p+1)*len(arches)]
+			base := runs[core.Baseline]
+			for a, run := range runs {
+				w, r := run.Normalized(base)
+				row.Write[a], row.Read[a] = w, r
+				row.AlphaFraction[a] = run.AlphaFraction()
+				if core.Arch(a) == core.WCPCM {
+					row.CacheHitRate = run.CacheHitRate()
+				}
+				res.MeanWrite[a] += w / float64(len(cfg.Profiles))
+				res.MeanRead[a] += r / float64(len(cfg.Profiles))
+			}
+			res.Rows[p] = row
+		}
+		return res, RenderFig5(res), nil
+	}}, nil
 }

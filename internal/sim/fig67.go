@@ -1,9 +1,9 @@
 package sim
 
 import (
-	"sync"
-
 	"womcpcm/internal/core"
+	"womcpcm/internal/memctrl"
+	"womcpcm/internal/stats"
 	"womcpcm/internal/workload"
 )
 
@@ -41,101 +41,69 @@ type Fig7Result struct {
 	Mean         []float64
 }
 
-// bankSweep runs WCPCM across the Fig6BankCounts organizations and hands
-// each (profile, bankIdx) run to collect.
-func bankSweep(cfg ExpConfig, collect func(prof, bankIdx int, hitRate, writeMean float64)) error {
-	cfg = cfg.normalize()
-	type job struct{ prof, bank int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for b := range Fig6BankCounts {
-			jobs = append(jobs, job{p, b})
-		}
-	}
-	var mu lockedCollect
-	mu.f = collect
-	return cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		g := cfg.Geometry
-		g.BanksPerRank = Fig6BankCounts[j.bank]
-		run, err := cfg.runArch(core.WCPCM, cfg.Profiles[j.prof], g)
-		if err != nil {
-			return err
-		}
-		mu.call(j.prof, j.bank, run.CacheHitRate(), run.WriteLatency.Mean())
-		return nil
-	})
-}
-
-// lockedCollect serializes collect callbacks from parallel workers.
-type lockedCollect struct {
-	mu sync.Mutex
-	f  func(prof, bankIdx int, hitRate, writeMean float64)
-}
-
-func (l *lockedCollect) call(prof, bankIdx int, hitRate, writeMean float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.f(prof, bankIdx, hitRate, writeMean)
-}
-
 // Fig6 measures the WOM-cache hit rate per organization.
-func Fig6(cfg ExpConfig) (*Fig6Result, error) {
-	cfg = cfg.normalize()
-	res := &Fig6Result{
-		BanksPerRank: append([]int(nil), Fig6BankCounts...),
-		Rows:         make([]Fig6Row, len(cfg.Profiles)),
-		Mean:         make([]float64, len(Fig6BankCounts)),
-	}
-	for p, prof := range cfg.Profiles {
-		res.Rows[p] = Fig6Row{
-			Benchmark: prof.Name,
-			Suite:     prof.Suite,
-			HitRate:   make([]float64, len(Fig6BankCounts)),
-		}
-	}
-	err := bankSweep(cfg, func(prof, bankIdx int, hitRate, _ float64) {
-		res.Rows[prof].HitRate[bankIdx] = hitRate
-	})
-	if err != nil {
-		return nil, err
-	}
-	for b := range Fig6BankCounts {
-		for p := range res.Rows {
-			res.Mean[b] += res.Rows[p].HitRate[b] / float64(len(res.Rows))
-		}
-	}
-	return res, nil
-}
+func Fig6(cfg ExpConfig) (*Fig6Result, error) { return runOne[*Fig6Result](cfg, fig6Plan) }
 
 // Fig7 measures WCPCM write latency per organization, normalized to the
 // 4-banks/rank configuration.
-func Fig7(cfg ExpConfig) (*Fig7Result, error) {
-	cfg = cfg.normalize()
-	raw := make([][]float64, len(cfg.Profiles))
-	for p := range raw {
-		raw[p] = make([]float64, len(Fig6BankCounts))
-	}
-	err := bankSweep(cfg, func(prof, bankIdx int, _, writeMean float64) {
-		raw[prof][bankIdx] = writeMean
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig7Result{
-		BanksPerRank: append([]int(nil), Fig6BankCounts...),
-		Rows:         make([]Fig7Row, len(cfg.Profiles)),
-		Mean:         make([]float64, len(Fig6BankCounts)),
-	}
-	for p, prof := range cfg.Profiles {
-		row := Fig7Row{Benchmark: prof.Name, Suite: prof.Suite, NormWrite: make([]float64, len(Fig6BankCounts))}
-		for b := range Fig6BankCounts {
-			if raw[p][0] > 0 {
-				row.NormWrite[b] = raw[p][b] / raw[p][0]
-			}
-			res.Mean[b] += row.NormWrite[b] / float64(len(cfg.Profiles))
+func Fig7(cfg ExpConfig) (*Fig7Result, error) { return runOne[*Fig7Result](cfg, fig7Plan) }
+
+// bankCells runs WCPCM on every profile at each Fig6BankCounts
+// organization, profile-major. Fig. 6 and Fig. 7 read the same runs.
+func bankCells(cfg ExpConfig) ([]cell, error) {
+	cfgs := make([]memctrl.Config, len(Fig6BankCounts))
+	for b, banks := range Fig6BankCounts {
+		g := cfg.Geometry
+		g.BanksPerRank = banks
+		var err error
+		if cfgs[b], err = cfg.archConfig(core.WCPCM, g); err != nil {
+			return nil, err
 		}
-		res.Rows[p] = row
 	}
-	return res, nil
+	return grid(cfg.Profiles, cfgs...), nil
+}
+
+func fig6Plan(cfg ExpConfig, _ Params) (plan, error) {
+	cells, err := bankCells(cfg)
+	return plan{cells, func(runs []*stats.Run) (any, string, error) {
+		nb := len(Fig6BankCounts)
+		res := &Fig6Result{
+			BanksPerRank: append([]int(nil), Fig6BankCounts...),
+			Rows:         make([]Fig6Row, len(cfg.Profiles)),
+			Mean:         make([]float64, nb),
+		}
+		for p, prof := range cfg.Profiles {
+			row := Fig6Row{Benchmark: prof.Name, Suite: prof.Suite, HitRate: make([]float64, nb)}
+			for b, run := range runs[p*nb : (p+1)*nb] {
+				row.HitRate[b] = run.CacheHitRate()
+				res.Mean[b] += row.HitRate[b] / float64(len(cfg.Profiles))
+			}
+			res.Rows[p] = row
+		}
+		return res, RenderFig6(res), nil
+	}}, err
+}
+
+func fig7Plan(cfg ExpConfig, _ Params) (plan, error) {
+	cells, err := bankCells(cfg)
+	return plan{cells, func(runs []*stats.Run) (any, string, error) {
+		nb := len(Fig6BankCounts)
+		res := &Fig7Result{
+			BanksPerRank: append([]int(nil), Fig6BankCounts...),
+			Rows:         make([]Fig7Row, len(cfg.Profiles)),
+			Mean:         make([]float64, nb),
+		}
+		for p, prof := range cfg.Profiles {
+			row := Fig7Row{Benchmark: prof.Name, Suite: prof.Suite, NormWrite: make([]float64, nb)}
+			runs := runs[p*nb : (p+1)*nb]
+			for b, run := range runs {
+				if first := runs[0].WriteLatency.Mean(); first > 0 {
+					row.NormWrite[b] = run.WriteLatency.Mean() / first
+				}
+				res.Mean[b] += row.NormWrite[b] / float64(len(cfg.Profiles))
+			}
+			res.Rows[p] = row
+		}
+		return res, RenderFig7(res), nil
+	}}, err
 }

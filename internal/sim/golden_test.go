@@ -29,9 +29,7 @@ var goldenFigDigests = map[int64]string{
 
 func TestGoldenFigAllDigests(t *testing.T) {
 	for seed, want := range goldenFigDigests {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
+		var results []*Result
 		for _, name := range figAll {
 			exp, err := LookupExperiment(name)
 			if err != nil {
@@ -41,15 +39,52 @@ func TestGoldenFigAllDigests(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, name, err)
 			}
-			if err := enc.Encode(map[string]any{"experiment": res.Experiment, "result": res.Data}); err != nil {
-				t.Fatal(err)
-			}
+			results = append(results, res)
 		}
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != want {
+		if got := figDigest(t, results); got != want {
 			t.Errorf("seed %d: -fig all digest %s, want %s", seed, got, want)
 		}
 	}
+}
+
+// TestGoldenFigAllPlannedDigests: one sim.Run call over all ten
+// experiments, which simulates each shared cell once, renders the same
+// pinned bytes as running them one by one, at any parallelism.
+func TestGoldenFigAllPlannedDigests(t *testing.T) {
+	exps := make([]Experiment, len(figAll))
+	for i, name := range figAll {
+		var err error
+		if exps[i], err = LookupExperiment(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed, want := range goldenFigDigests {
+		for _, par := range []int{1, 4} {
+			results, err := Run(context.Background(), Params{Requests: 1000, Seed: seed, Parallelism: par}, exps...)
+			if err != nil {
+				t.Fatalf("seed %d, parallelism %d: %v", seed, par, err)
+			}
+			if got := figDigest(t, results); got != want {
+				t.Errorf("seed %d, parallelism %d: planned -fig all digest %s, want %s", seed, par, got, want)
+			}
+		}
+	}
+}
+
+// figDigest hashes results rendered exactly as `womsim -fig ... -json`
+// prints them.
+func figDigest(t *testing.T, results []*Result) string {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	for _, res := range results {
+		if err := enc.Encode(map[string]any{"experiment": res.Experiment, "result": res.Data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
 }
 
 // goldenReplayTelemetryDigest pins the sha256 of sim.Replay's WithTelemetry

@@ -27,46 +27,33 @@ type HybridAblationResult struct {
 
 // HybridAblation runs both cached architectures over the workloads.
 func HybridAblation(cfg ExpConfig) (*HybridAblationResult, error) {
-	cfg = cfg.normalize()
-	hybridCfg := memctrl.Config{
-		Geometry: cfg.Geometry,
-		Timing:   cfg.Timing,
-		Cache:    &memctrl.CacheConfig{Technology: memctrl.DRAMCache},
+	return runOne[*HybridAblationResult](cfg, hybridPlan)
+}
+
+func hybridPlan(cfg ExpConfig, _ Params) (plan, error) {
+	wcpcm, err := cfg.archConfig(core.WCPCM, cfg.Geometry)
+	if err != nil {
+		return plan{}, err
 	}
-	type triple struct{ base, wcpcm, hybrid *stats.Run }
-	rows := make([]triple, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		base, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
+	hybrid := cfg.baseline()
+	hybrid.Cache = &memctrl.CacheConfig{Technology: memctrl.DRAMCache}
+	return plan{grid(cfg.Profiles, cfg.baseline(), wcpcm, hybrid), func(runs []*stats.Run) (any, string, error) {
+		res := &HybridAblationResult{}
+		n := float64(len(cfg.Profiles))
+		for p := range cfg.Profiles {
+			base, wcpcm, hybrid := runs[3*p], runs[3*p+1], runs[3*p+2]
+			ww, wr := wcpcm.Normalized(base)
+			hw, hr := hybrid.Normalized(base)
+			res.WCPCMWrite += ww / n
+			res.WCPCMRead += wr / n
+			res.HybridWrite += hw / n
+			res.HybridRead += hr / n
 		}
-		wcpcm, err := cfg.runArch(core.WCPCM, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
+		if res.HybridWrite < 1 {
+			res.Retention = (1 - res.WCPCMWrite) / (1 - res.HybridWrite)
 		}
-		hybrid, err := cfg.runConfig(hybridCfg, cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		rows[p] = triple{base, wcpcm, hybrid}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	res := &HybridAblationResult{}
-	n := float64(len(cfg.Profiles))
-	for _, r := range rows {
-		ww, wr := r.wcpcm.Normalized(r.base)
-		hw, hr := r.hybrid.Normalized(r.base)
-		res.WCPCMWrite += ww / n
-		res.WCPCMRead += wr / n
-		res.HybridWrite += hw / n
-		res.HybridRead += hr / n
-	}
-	if res.HybridWrite < 1 {
-		res.Retention = (1 - res.WCPCMWrite) / (1 - res.HybridWrite)
-	}
-	return res, nil
+		return res, RenderHybridAblation(res), nil
+	}}, nil
 }
 
 // RenderHybridAblation formats the comparison.

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"womcpcm/internal/pcm"
+	"womcpcm/internal/stats"
 	"womcpcm/internal/trace"
 	"womcpcm/internal/workload"
 )
@@ -131,38 +132,19 @@ type Experiment struct {
 	// NeedsTrace marks experiments requiring Params.Trace ("replay").
 	NeedsTrace bool `json:"needs_trace,omitempty"`
 
-	run func(ctx context.Context, p Params) (any, string, error)
+	// build plans the experiment for one normalized ExpConfig: the cells
+	// it needs simulated and the reduce from their runs to its result.
+	build func(cfg ExpConfig, p Params) (plan, error)
 }
 
-// Run executes the experiment. The context cancels the run between
-// individual simulations.
+// Run executes the experiment; it is Run(ctx, p, e). The context cancels
+// the run between individual simulations.
 func (e Experiment) Run(ctx context.Context, p Params) (*Result, error) {
-	if e.run == nil {
-		return nil, fmt.Errorf("sim: experiment %q is not runnable", e.Name)
-	}
-	if e.NeedsProfile && p.Profile == nil {
-		return nil, fmt.Errorf("sim: experiment %q needs params.profile", e.Name)
-	}
-	if e.NeedsTrace && len(p.Trace) == 0 {
-		return nil, fmt.Errorf("sim: experiment %q needs an input trace", e.Name)
-	}
-	data, text, err := e.run(ctx, p)
+	res, err := Run(ctx, p, e)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Experiment: e.Name, Data: data, Text: text}, nil
-}
-
-// configured builds the run closure for experiments driven purely by an
-// ExpConfig.
-func configured(f func(cfg ExpConfig, p Params) (any, string, error)) func(context.Context, Params) (any, string, error) {
-	return func(ctx context.Context, p Params) (any, string, error) {
-		cfg, err := p.Config(ctx)
-		if err != nil {
-			return nil, "", err
-		}
-		return f(cfg, p)
-	}
+	return res[0], nil
 }
 
 // registry maps canonical experiment names to their definitions.
@@ -170,157 +152,99 @@ var registry = map[string]Experiment{
 	"fig5": {
 		Name:        "fig5",
 		Description: "Fig. 5(a)/(b): normalized write/read latency of the four architectures",
-		run: configured(func(cfg ExpConfig, _ Params) (any, string, error) {
-			res, err := Fig5(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderFig5(res), nil
-		}),
+		build:       fig5Plan,
 	},
 	"fig6": {
 		Name:        "fig6",
 		Description: "Fig. 6: WOM-cache hit rate per banks/rank organization",
-		run: configured(func(cfg ExpConfig, _ Params) (any, string, error) {
-			res, err := Fig6(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderFig6(res), nil
-		}),
+		build:       fig6Plan,
 	},
 	"fig7": {
 		Name:        "fig7",
 		Description: "Fig. 7: WCPCM write latency scaling with banks/rank",
-		run: configured(func(cfg ExpConfig, _ Params) (any, string, error) {
-			res, err := Fig7(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderFig7(res), nil
-		}),
+		build:       fig7Plan,
 	},
 	"rth": {
 		Name:        "rth",
 		Description: "Ablation: PCM-refresh threshold r_th sweep (§3.2)",
-		run: configured(func(cfg ExpConfig, p Params) (any, string, error) {
-			ths := p.Thresholds
-			if len(ths) == 0 {
-				ths = []float64{0, 5, 10, 25, 50, 75}
-			}
-			res, err := RthSweep(cfg, ths)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderRthSweep(res), nil
-		}),
+		build: func(cfg ExpConfig, p Params) (plan, error) {
+			return rthPlan(cfg, orDefault(p.Thresholds, []float64{0, 5, 10, 25, 50, 75})), nil
+		},
 	},
 	"org": {
 		Name:        "org",
 		Description: "Ablation: wide-column vs hidden-page organization (§3.1)",
-		run: configured(func(cfg ExpConfig, _ Params) (any, string, error) {
-			res, err := OrgAblation(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderOrgAblation(res), nil
-		}),
+		build:       orgPlan,
 	},
 	"pausing": {
 		Name:        "pausing",
 		Description: "Ablation: write pausing during PCM-refresh (§3.2)",
-		run: configured(func(cfg ExpConfig, _ Params) (any, string, error) {
-			res, err := PausingAblation(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderPausingAblation(res), nil
-		}),
+		build:       pausingPlan,
 	},
 	"code": {
 		Name:        "code",
 		Description: "Ablation: WOM rewrite budget k vs the §3.2 analytic bound",
-		run: configured(func(cfg ExpConfig, p Params) (any, string, error) {
-			ks := p.Rewrites
-			if len(ks) == 0 {
-				ks = []int{1, 2, 4, 8}
-			}
-			res, err := CodeAblation(cfg, ks)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderCodeAblation(res), nil
-		}),
+		build: func(cfg ExpConfig, p Params) (plan, error) {
+			return codePlan(cfg, orDefault(p.Rewrites, []int{1, 2, 4, 8})), nil
+		},
 	},
 	"sched": {
 		Name:        "sched",
 		Description: "Ablation: write scheduling ([7]) vs WOM-coding",
-		run: configured(func(cfg ExpConfig, _ Params) (any, string, error) {
-			res, err := SchedulingAblation(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderSchedulingAblation(res), nil
-		}),
+		build:       schedPlan,
 	},
 	"hybrid": {
 		Name:        "hybrid",
 		Description: "Ablation: WCPCM vs hybrid DRAM/PCM cache (§4, [18])",
-		run: configured(func(cfg ExpConfig, _ Params) (any, string, error) {
-			res, err := HybridAblation(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderHybridAblation(res), nil
-		}),
+		build:       hybridPlan,
 	},
 	"channels": {
 		Name:        "channels",
 		Description: "Extension: multi-channel scaling of PCM-refresh",
-		run: configured(func(cfg ExpConfig, p Params) (any, string, error) {
-			chs := p.Channels
-			if len(chs) == 0 {
-				chs = []int{1, 2, 4}
-			}
-			res, err := ChannelScaling(cfg, chs)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderChannelScaling(res), nil
-		}),
+		build: func(cfg ExpConfig, p Params) (plan, error) {
+			return channelsPlan(cfg, orDefault(p.Channels, []int{1, 2, 4}))
+		},
 	},
 	"sweep": {
 		Name:         "sweep",
 		Description:  "Custom workload: run a caller-defined profile through all four architectures",
 		NeedsProfile: true,
-		run: configured(func(cfg ExpConfig, p Params) (any, string, error) {
+		build: func(cfg ExpConfig, p Params) (plan, error) {
 			if err := p.Profile.Validate(); err != nil {
-				return nil, "", err
+				return plan{}, err
 			}
 			cfg.Profiles = []workload.Profile{*p.Profile}
-			res, err := Fig5(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderFig5(res), nil
-		}),
+			return fig5Plan(cfg, p)
+		},
 	},
 	"replay": {
 		Name:        "replay",
 		Description: "Replay an uploaded trace through all four architectures",
 		NeedsTrace:  true,
-		run: configured(func(cfg ExpConfig, p Params) (any, string, error) {
+		// The trace is supplied, not generated, so replay plans no cells:
+		// its reduce runs Replay, which carries progress and telemetry.
+		build: func(cfg ExpConfig, p Params) (plan, error) {
 			label := p.TraceLabel
 			if label == "" {
 				label = "trace"
 			}
-			res, err := Replay(cfg, label, p.Trace)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, RenderReplay(res), nil
-		}),
+			return plan{reduce: func([]*stats.Run) (any, string, error) {
+				res, err := Replay(cfg, label, p.Trace)
+				if err != nil {
+					return nil, "", err
+				}
+				return res, RenderReplay(res), nil
+			}}, nil
+		},
 	},
+}
+
+// orDefault returns xs, or def when xs is empty.
+func orDefault[T any](xs, def []T) []T {
+	if len(xs) == 0 {
+		return def
+	}
+	return xs
 }
 
 // aliases maps the historical womsim -fig spellings to canonical names.

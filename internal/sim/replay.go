@@ -7,9 +7,9 @@ import (
 	"text/tabwriter"
 
 	"womcpcm/internal/core"
-	"womcpcm/internal/memctrl"
 	"womcpcm/internal/stats"
 	"womcpcm/internal/trace"
+	"womcpcm/internal/workload"
 )
 
 // ReplayResult runs one recorded trace through all four architectures — the
@@ -55,29 +55,14 @@ func Replay(cfg ExpConfig, label string, recs []trace.Record) (*ReplayResult, er
 		NormWrite: make([]float64, len(arches)),
 		NormRead:  make([]float64, len(arches)),
 	}
-	if err := cfg.parMap(len(arches), func(i int) error {
-		opts := core.DefaultOptions()
-		opts.Geometry = cfg.Geometry
-		opts.Timing = cfg.Timing
-		sys, err := core.NewSystem(arches[i], opts)
-		if err != nil {
-			return err
-		}
-		mcCfg := sys.Config()
-		finish := instrument(cfg.Ctx, &mcCfg, arches[i].String())
-		ctrl, err := memctrl.New(mcCfg)
+	if err := parMapCtx(cfg.Ctx, len(arches), cfg.Parallelism, func(i int) error {
+		mc, err := cfg.archConfig(arches[i], cfg.Geometry)
 		if err != nil {
 			return err
 		}
 		src := newProgressSource(trace.NewSliceSource(recs), &done, total, progress)
-		run, err := ctrl.Run(src)
-		if err != nil {
-			return fmt.Errorf("sim: replaying %s on %s: %w", label, arches[i], err)
-		}
-		run.Workload = label
-		finish(run)
-		res.Runs[i] = run
-		return nil
+		res.Runs[i], err = runCell(cfg.Ctx, cell{cfg: mc, prof: workload.Profile{Name: label}}, src, arches[i].String())
+		return err
 	}); err != nil {
 		return nil, err
 	}

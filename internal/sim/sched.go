@@ -5,7 +5,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"womcpcm/internal/core"
 	"womcpcm/internal/memctrl"
 	"womcpcm/internal/stats"
 )
@@ -28,7 +27,10 @@ type SchedulingAblationResult struct {
 
 // SchedulingAblation runs the five variants over the configured workloads.
 func SchedulingAblation(cfg ExpConfig) (*SchedulingAblationResult, error) {
-	cfg = cfg.normalize()
+	return runOne[*SchedulingAblationResult](cfg, schedPlan)
+}
+
+func schedPlan(cfg ExpConfig, _ Params) (plan, error) {
 	sched := &memctrl.SchedConfig{ReadPriority: true, WriteCancellation: true}
 	variants := []struct {
 		name string
@@ -45,65 +47,32 @@ func SchedulingAblation(cfg ExpConfig) (*SchedulingAblationResult, error) {
 		{"PCM-refresh + scheduling", memctrl.Config{Geometry: cfg.Geometry, Timing: cfg.Timing,
 			WOM: memctrl.DefaultWOM(), Refresh: memctrl.DefaultRefresh(), Sched: sched}},
 	}
-
-	res := &SchedulingAblationResult{
-		Variants: make([]string, len(variants)),
-		Write:    make([]float64, len(variants)),
-		Read:     make([]float64, len(variants)),
-		Cancels:  make([]uint64, len(variants)),
+	cfgs := []memctrl.Config{cfg.baseline()}
+	for _, v := range variants {
+		cfgs = append(cfgs, v.mc)
 	}
-	for i, v := range variants {
-		res.Variants[i] = v.name
-	}
-
-	baseRuns := make([]*stats.Run, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		run, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
+	return plan{grid(cfg.Profiles, cfgs...), func(runs []*stats.Run) (any, string, error) {
+		res := &SchedulingAblationResult{
+			Variants: make([]string, len(variants)),
+			Write:    make([]float64, len(variants)),
+			Read:     make([]float64, len(variants)),
+			Cancels:  make([]uint64, len(variants)),
 		}
-		baseRuns[p] = run
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	type job struct{ prof, variant int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for v := range variants {
-			jobs = append(jobs, job{p, v})
+		for i, v := range variants {
+			res.Variants[i] = v.name
 		}
-	}
-	type cell struct {
-		w, r    float64
-		cancels uint64
-	}
-	cells := make([][]cell, len(cfg.Profiles))
-	for p := range cells {
-		cells[p] = make([]cell, len(variants))
-	}
-	if err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		run, err := cfg.runConfig(variants[j.variant].mc, cfg.Profiles[j.prof])
-		if err != nil {
-			return err
-		}
-		w, r := run.Normalized(baseRuns[j.prof])
-		cells[j.prof][j.variant] = cell{w: w, r: r, cancels: run.WriteCancels}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	n := float64(len(cfg.Profiles))
-	for v := range variants {
+		n := float64(len(cfg.Profiles))
 		for p := range cfg.Profiles {
-			res.Write[v] += cells[p][v].w / n
-			res.Read[v] += cells[p][v].r / n
-			res.Cancels[v] += cells[p][v].cancels
+			runs := runs[p*len(cfgs) : (p+1)*len(cfgs)]
+			for v, run := range runs[1:] {
+				w, r := run.Normalized(runs[0])
+				res.Write[v] += w / n
+				res.Read[v] += r / n
+				res.Cancels[v] += run.WriteCancels
+			}
 		}
-	}
-	return res, nil
+		return res, RenderSchedulingAblation(res), nil
+	}}, nil
 }
 
 // RenderSchedulingAblation formats the comparison.

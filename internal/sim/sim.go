@@ -8,15 +8,13 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"womcpcm/internal/core"
 	"womcpcm/internal/memctrl"
 	"womcpcm/internal/pcm"
-	"womcpcm/internal/stats"
-	"womcpcm/internal/trace"
 	"womcpcm/internal/workload"
 )
 
@@ -68,65 +66,28 @@ func (c ExpConfig) normalize() ExpConfig {
 	return c
 }
 
-// source builds the deterministic request stream for one benchmark: the
-// same (profile, geometry, seed) always replays the same trace, so every
-// architecture sees identical input.
-func (c ExpConfig) source(p workload.Profile, g pcm.Geometry) (trace.Source, error) {
-	gen, err := workload.NewGenerator(p, g, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewLimit(gen, c.Requests), nil
+// baseline is conventional PCM on c's geometry and timing: the
+// normalization reference of every ablation, which add their WOM, refresh,
+// cache or scheduling configs to it.
+func (c ExpConfig) baseline() memctrl.Config {
+	return memctrl.Config{Geometry: c.Geometry, Timing: c.Timing}
 }
 
-// runArch simulates one benchmark on one architecture.
-func (c ExpConfig) runArch(a core.Arch, p workload.Profile, g pcm.Geometry) (*stats.Run, error) {
+// archConfig is architecture a's core preset on geometry g.
+func (c ExpConfig) archConfig(a core.Arch, g pcm.Geometry) (memctrl.Config, error) {
 	opts := core.DefaultOptions()
 	opts.Geometry = g
 	opts.Timing = c.Timing
 	sys, err := core.NewSystem(a, opts)
 	if err != nil {
-		return nil, err
+		return memctrl.Config{}, err
 	}
-	return c.runConfig(sys.Config(), p)
+	return sys.Config(), nil
 }
 
-// runConfig simulates one benchmark on an explicit controller config (for
-// ablations that reach past the core presets), with the instruments c.Ctx
-// asks for attached.
-func (c ExpConfig) runConfig(cfg memctrl.Config, p workload.Profile) (*stats.Run, error) {
-	report := instrument(c.Ctx, &cfg, "")
-	ctrl, err := memctrl.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	src, err := c.source(p, cfg.Geometry)
-	if err != nil {
-		return nil, err
-	}
-	run, err := ctrl.Run(src)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", cfg.ArchName(), p.Name, err)
-	}
-	run.Workload = p.Name
-	report(run)
-	return run, nil
-}
-
-// parMap runs f(0..n-1) on at most c.Parallelism goroutines, stopping
-// between simulations if c.Ctx is canceled. c must be normalized.
-func (c ExpConfig) parMap(n int, f func(i int) error) error {
-	return parMapCtx(c.Ctx, n, c.Parallelism, f)
-}
-
-// parMap runs f(0..n-1) on at most workers goroutines and returns the first
-// error.
-func parMap(n, workers int, f func(i int) error) error {
-	return parMapCtx(context.Background(), n, workers, f)
-}
-
-// parMapCtx is parMap with cancellation: once ctx is canceled no further
-// indices are dispatched (in-flight calls finish) and ctx.Err() is
+// parMapCtx runs f(0..n-1) on at most workers goroutines and returns the
+// first error. The first failure stops dispatch, and so does canceling
+// ctx: no further indices start (in-flight calls finish), and ctx.Err() is
 // returned unless a worker failed first.
 func parMapCtx(ctx context.Context, n, workers int, f func(i int) error) error {
 	if ctx == nil {
@@ -139,9 +100,10 @@ func parMapCtx(ctx context.Context, n, workers int, f func(i int) error) error {
 		workers = 1
 	}
 	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		first  error
+		failed atomic.Bool
 	)
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -149,18 +111,22 @@ func parMapCtx(ctx context.Context, n, workers int, f func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range next {
+				if failed.Load() {
+					continue // drain: an index handed over after a failure does not start
+				}
 				if err := f(i); err != nil {
 					mu.Lock()
 					if first == nil {
 						first = err
 					}
 					mu.Unlock()
+					failed.Store(true)
 				}
 			}
 		}()
 	}
 dispatch:
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !failed.Load(); i++ {
 		select {
 		case next <- i:
 		case <-ctx.Done():

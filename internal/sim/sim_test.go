@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -223,7 +224,7 @@ func TestExpConfigDefaults(t *testing.T) {
 // TestParMapPropagatesErrors: worker errors surface.
 func TestParMapPropagatesErrors(t *testing.T) {
 	sentinel := errors.New("boom")
-	err := parMap(10, 4, func(i int) error {
+	err := parMapCtx(context.Background(), 10, 4, func(i int) error {
 		if i == 7 {
 			return sentinel
 		}
@@ -232,8 +233,8 @@ func TestParMapPropagatesErrors(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v", err)
 	}
-	if err := parMap(0, 4, func(int) error { return nil }); err != nil {
-		t.Errorf("empty parMap: %v", err)
+	if err := parMapCtx(context.Background(), 0, 4, func(int) error { return nil }); err != nil {
+		t.Errorf("empty parMapCtx: %v", err)
 	}
 }
 
