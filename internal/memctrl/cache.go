@@ -6,57 +6,37 @@ import (
 	"womcpcm/internal/trace"
 )
 
-// cacheArray is one rank's WOM-cache (§4): a wide-column WOM-code PCM array
-// with as many rows as a main-memory bank, fronting the rank's banks as an
-// N_bank-way write cache. The tag of a cached row is the bank address it
-// belongs to; a single valid bit completes the selector field.
+// A rank's WOM-cache (§4) is a wide-column WOM-code PCM array with as many
+// rows as a main-memory bank, fronting the rank's banks as an N_bank-way
+// write cache. The tag of a cached row is the bank address it belongs to;
+// a single valid bit completes the selector field. Both live in the
+// controller's cacheRows table beside the row's WOM generation.
 //
-// The array embeds server: it services one access at a time with its own
+// The array is a server: it services one access at a time with its own
 // FIFO queue, and participates in PCM-refresh.
-type cacheArray struct {
-	server
-	entries map[int]cacheEntry
-}
-
-// cacheEntry is the selector field of one cache row.
-type cacheEntry struct {
-	bank  int
-	valid bool
-}
-
-func newCacheArray(rank int, cfg Config) *cacheArray {
-	ca := &cacheArray{
-		server:  server{rank: rank, idx: -1, openRow: -1, abortedRow: -1},
-		entries: make(map[int]cacheEntry),
-	}
-	if cfg.Cache.Technology == WOMCache {
-		// Cache arrays are new, factory-erased hardware: fresh start.
-		ca.wom = newWOMState(cfg.Cache.Rewrites, cfg.Cache.TableSize, false)
-	}
-	return ca
-}
 
 // dispatchCache starts service on a rank's WOM-cache array if possible.
-func (c *Controller) dispatchCache(ca *cacheArray, now Clock) {
-	if ca.inService != nil || ca.empty() {
+func (c *Controller) dispatchCache(ca *server, now Clock) {
+	if ca.inService != 0 || ca.empty() {
 		return
 	}
 	if ca.refreshPending && ca.refreshEnd > now {
-		c.preemptRefresh(&ca.server, now)
+		c.preemptRefresh(ca, now)
 	}
-	req := ca.pop()
+	i := ca.pop(c.reqs)
+	req := &c.reqs[i]
 	start := now
 	if ca.busyUntil > start {
 		start = ca.busyUntil
 	}
 	dur := c.cacheService(ca, req, start)
-	ca.inService = req
+	ca.inService = i
 	ca.busyUntil = start + dur
 	if c.probe != nil {
 		c.probe.Emit(probe.Event{Time: start, Dur: dur, Kind: probe.BankBusy,
 			Rank: ca.rank, Bank: ca.idx, Row: req.Loc.Row})
 	}
-	c.schedule(event{time: start + dur, kind: evCacheComplete, rank: ca.rank})
+	c.schedule(event{time: start + dur, kind: evCacheComplete, target: int32(ca.rank)})
 }
 
 // cacheService resolves a cache access at dispatch time and returns its
@@ -65,7 +45,7 @@ func (c *Controller) dispatchCache(ca *cacheArray, now Clock) {
 // every write programs the cells after activating its row if needed — the
 // activation also reads out the victim on a tag miss (§4: "the controller
 // first outputs the current data and the bank address to a register").
-func (c *Controller) cacheService(ca *cacheArray, req *Request, start Clock) Clock {
+func (c *Controller) cacheService(ca *server, req *Request, start Clock) Clock {
 	t := c.cfg.Timing
 	row := req.Loc.Row
 	var dur Clock
@@ -80,13 +60,12 @@ func (c *Controller) cacheService(ca *cacheArray, req *Request, start Clock) Clo
 		return dur + t.Column + t.Burst
 	}
 
-	e, present := ca.entries[row]
-	hit := !present || !e.valid || e.bank == req.Loc.Bank
+	e := c.cacheRows.at(row, ca.rank)
 	action := probe.CacheHit
-	if !present || !e.valid {
+	if !e.valid {
 		action = probe.CacheFill
 	}
-	if hit {
+	if !e.valid || int(e.tag) == req.Loc.Bank {
 		// §4: valid bit invalid, or tag matches — program in place.
 		c.run.CacheHits++
 		req.class = stats.WriteCacheHit
@@ -97,23 +76,28 @@ func (c *Controller) cacheService(ca *cacheArray, req *Request, start Clock) Clo
 		c.run.CacheMisses++
 		req.class = stats.WriteCacheMiss
 		req.spawnVictim = true
-		req.victimBank = e.bank
+		req.victimBank = int(e.tag)
 		action = probe.CacheEvict
 	}
 	if c.probe != nil {
 		c.probe.Emit(probe.Event{Time: start, Kind: action, Rank: ca.rank, Bank: ca.idx, Row: row})
 	}
-	if ca.wom != nil {
+	if ca.wom.k > 0 {
+		// One WOM-coded array row write, consuming the row's budget.
 		if c.probe != nil {
-			c.probe.Emit(probe.Event{Time: start, Kind: womWriteKind(ca.wom, row),
+			c.probe.Emit(probe.Event{Time: start, Kind: womWriteKind(&ca.wom, &c.cacheRows, row),
 				Rank: ca.rank, Bank: ca.idx, Row: row})
 		}
-		var arrayClass stats.ServiceClass
-		dur += c.arrayWrite(ca.wom, row, &arrayClass)
-		c.run.Class(arrayClass)
+		if ca.wom.write(&c.cacheRows, row) {
+			c.run.Class(stats.WriteFast)
+			dur += t.Reset
+		} else {
+			c.run.Class(stats.WriteAlpha)
+			dur += t.RowWrite
+		}
 	}
 	// A DRAM cache array absorbs the write at row-buffer speed: no PCM
 	// programming pulse at all.
-	ca.entries[row] = cacheEntry{bank: req.Loc.Bank, valid: true}
+	e.tag, e.valid = int32(req.Loc.Bank), true
 	return dur + t.Column + t.Burst
 }

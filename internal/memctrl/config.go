@@ -14,6 +14,12 @@
 //	WCPCM:            Config{Cache: &CacheConfig{...}} (conventional main)
 //
 // Time is int64 nanoseconds throughout.
+//
+// A Controller's state is plain data: its banks are one slice, per-row WOM
+// state and cache selectors live in paged row tables, and in-flight
+// Requests live in a slab and link to each other by index. Code holds a
+// request by its slab index; a *Request into the slab is valid only until
+// the next request is admitted, which may move the slab (see Request).
 package memctrl
 
 import (
@@ -74,9 +80,11 @@ func DefaultWOM() *WOMConfig { return &WOMConfig{Rewrites: 2, Org: WideColumn} }
 
 // RefreshConfig enables PCM-refresh (§3.2). Requires WOM.
 type RefreshConfig struct {
-	// ThresholdPct is r_th: an idle rank is refreshed only if more than
-	// this percentage of its banks have at least one row at the rewrite
-	// limit. 0 refreshes any idle rank with one candidate.
+	// ThresholdPct is r_th: an idle rank is refreshed only if at least
+	// ⌊ThresholdPct·BanksPerRank/100⌋ of its banks, and never fewer than
+	// one, have a row at the rewrite limit in their table. At 50 on 32
+	// banks, 16 candidate banks qualify. 0 refreshes any idle rank with
+	// one candidate.
 	ThresholdPct float64
 	// TableSize is the per-bank row address table depth; the paper uses 5
 	// ("the most recent 5 pages that have reached the rewrite limit").

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"womcpcm/internal/pcm"
 	"womcpcm/internal/probe"
@@ -11,11 +12,14 @@ import (
 
 // Request is one memory access in flight through the controller.
 //
-// The controller owns every Request and recycles it through a free list:
-// complete returns it, and newRequest hands it out again fully reset.
-// Nothing may keep a *Request after complete — probe events receive
-// values, and a cache miss spawns its victim before the miss itself
-// completes.
+// The controller owns every Request. Requests live in a controller-owned
+// slab and link to one another by slab index, slot 0 meaning "none", so
+// the in-flight state holds no pointers. complete returns a slot to the
+// free list; newRequest refills a free slot, or appends one, in place.
+// Code holds requests by index: a *Request into the slab is valid only
+// until the next newRequest, whose append may move the slab, and nothing
+// may keep an index after complete. Probe events receive values, and a
+// cache miss spawns its victim before the miss itself completes.
 type Request struct {
 	// ID orders requests by admission.
 	ID uint64
@@ -34,9 +38,9 @@ type Request struct {
 	spawnVictim bool
 	victimBank  int
 	cancels     int
-	// next links the request into its server's queue while it waits and
-	// into the controller's free list once it has completed.
-	next *Request
+	// next links the request, by slab index, into its server's queue while
+	// it waits and into the controller's free list once it has completed.
+	next int32
 }
 
 // server is one serially serviced resource: a main-memory bank or a rank's
@@ -45,12 +49,15 @@ type Request struct {
 type server struct {
 	rank, idx int
 	// head and tail delimit the queue of waiting requests, linked through
-	// Request.next. The queue owns no storage of its own, so a server that
-	// never drains holds only the requests actually waiting.
-	head, tail *Request
-	inService  *Request
-	busyUntil  Clock
-	wom        *womState
+	// Request.next; inService is the request being serviced. All three
+	// are slab indices, 0 when empty. The queue owns no storage of its
+	// own, so a server that never drains holds only the requests actually
+	// waiting.
+	head, tail, inService int32
+	busyUntil             Clock
+	// wom is the array's WOM-code state; wom.k == 0 when the array is not
+	// WOM-coded.
+	wom womState
 
 	// Write-through row buffer: openRow is the row currently latched (-1
 	// when closed). Reads to the open row skip the array access; writes
@@ -64,78 +71,114 @@ type server struct {
 	token uint64
 
 	refreshPending bool
-	refreshRow     int
-	refreshStart   Clock
-	refreshEnd     Clock
+	// busy and cands record what the bank last contributed to its rank's
+	// eligibility counters (see settle).
+	busy, cands  bool
+	refreshRow   int
+	refreshStart Clock
+	refreshEnd   Clock
 	// abortedRow remembers the last refresh row write pausing preempted,
 	// so the probe can tell a resumed refresh from a fresh one.
 	abortedRow int
 }
 
-func (s *server) empty() bool { return s.head == nil }
+func (s *server) empty() bool { return s.head == 0 }
 
-func (s *server) enqueue(r *Request) {
-	r.next = nil
-	if s.tail == nil {
-		s.head = r
+func (s *server) enqueue(reqs []Request, i int32) {
+	reqs[i].next = 0
+	if s.tail == 0 {
+		s.head = i
 	} else {
-		s.tail.next = r
+		reqs[s.tail].next = i
 	}
-	s.tail = r
+	s.tail = i
 }
 
-// unlink removes r from the queue; prev is the request before it, nil when
-// r is the head.
-func (s *server) unlink(prev, r *Request) *Request {
-	if prev == nil {
-		s.head = r.next
+// unlink removes request i from the queue; prev is the request before it,
+// 0 when i is the head.
+func (s *server) unlink(reqs []Request, prev, i int32) int32 {
+	if prev == 0 {
+		s.head = reqs[i].next
 	} else {
-		prev.next = r.next
+		reqs[prev].next = reqs[i].next
 	}
-	if s.tail == r {
+	if s.tail == i {
 		s.tail = prev
 	}
-	r.next = nil
-	return r
+	reqs[i].next = 0
+	return i
 }
 
-func (s *server) pop() *Request { return s.unlink(nil, s.head) }
+func (s *server) pop(reqs []Request) int32 { return s.unlink(reqs, 0, s.head) }
 
 // popPreferred pops the first queued read when readFirst is set (read
 // priority scheduling, [7]); otherwise plain FIFO.
-func (s *server) popPreferred(readFirst bool) *Request {
+func (s *server) popPreferred(reqs []Request, readFirst bool) int32 {
 	if readFirst {
-		var prev *Request
-		for r := s.head; r != nil; prev, r = r, r.next {
-			if r.Op == trace.Read {
-				return s.unlink(prev, r)
+		for prev, i := int32(0), s.head; i != 0; prev, i = i, reqs[i].next {
+			if reqs[i].Op == trace.Read {
+				return s.unlink(reqs, prev, i)
 			}
 		}
 	}
-	return s.pop()
+	return s.pop(reqs)
 }
 
 // pushFront returns a cancelled write to the head of the queue.
-func (s *server) pushFront(r *Request) {
-	r.next = s.head
-	s.head = r
-	if s.tail == nil {
-		s.tail = r
+func (s *server) pushFront(reqs []Request, i int32) {
+	reqs[i].next = s.head
+	s.head = i
+	if s.tail == 0 {
+		s.tail = i
 	}
 }
 
-// idleAt reports whether the server is completely quiescent at time now.
-func (s *server) idleAt(now Clock) bool {
-	return s.inService == nil && s.empty() && s.busyUntil <= now && !s.refreshPending
+// quiescent reports whether the server has no request in service or
+// waiting and no refresh pending. A quiescent server's busyUntil never
+// lies in the future: every path that pushes busyUntil past now also
+// starts a service or a refresh.
+func (s *server) quiescent() bool {
+	return s.inService == 0 && s.empty() && !s.refreshPending
 }
+
+// idleAt reports whether the server is completely quiescent at time now.
+func (s *server) idleAt(now Clock) bool { return s.quiescent() && s.busyUntil <= now }
+
+// rankState counts, for one rank, the banks that are not quiescent and the
+// banks whose refresh table holds a candidate: the inputs of the idle-rank
+// and r_th checks.
+type rankState struct{ busy, cands int32 }
+
+// initialRequests is the Request slab's starting capacity, sentinel
+// included; the slab doubles from there to the run's peak in-flight
+// population.
+const initialRequests = 64
 
 // Controller simulates one memory channel under the configured
 // architecture. Create with New, feed a time-ordered trace with Run.
 type Controller struct {
 	cfg    Config
 	mapper *pcm.AddrMapper
-	banks  [][]*server   // [rank][bank]
-	caches []*cacheArray // per rank; nil entries unless cfg.Cache != nil
+	// banks holds every main-memory bank, indexed rank*BanksPerRank+bank;
+	// caches holds one WOM-cache array per rank when cfg.Cache is set.
+	banks  []server
+	caches []server
+	// rows is the main banks' per-row WOM state; cacheRows holds the
+	// cache arrays' WOM state and selector fields.
+	rows, cacheRows rowTable
+	// reqs is the Request slab; slot 0 is the "none" sentinel. free heads
+	// the stack of completed slots, linked through Request.next, that
+	// newRequest reuses.
+	reqs []Request
+	free int32
+	// ranks holds every rank's refresh-eligibility counters, kept by
+	// settle when main-memory PCM-refresh is configured (nil otherwise);
+	// need is the r_th threshold as a candidate-bank count.
+	ranks []rankState
+	need  int
+	// onTick, when set, runs at the start of every refresh tick. Tests use
+	// it to check the counters against a walk of the banks.
+	onTick func(now Clock)
 
 	events       eventHeap
 	seq          uint64
@@ -145,9 +188,6 @@ type Controller struct {
 	arrivalsDone bool
 	rrNext       int
 	lastTime     Clock
-	// free is the stack of completed Requests, linked through
-	// Request.next, that newRequest reuses.
-	free *Request
 	// probe receives instrumentation events; nil (the default) disables
 	// them at the cost of one pointer check per emission site.
 	probe *probe.Probe
@@ -156,7 +196,10 @@ type Controller struct {
 	evLocal int64
 }
 
-// New builds a controller; the config must validate.
+// New builds a controller; the config must validate. Construction
+// allocates a fixed number of objects whatever the geometry: the banks,
+// the cache arrays and their refresh tables are each one slice, and row
+// state is allocated a page at a time as rows are first written.
 func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -168,34 +211,67 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	g := cfg.Geometry
 	c := &Controller{
 		cfg:    cfg,
 		mapper: mapper,
+		banks:  make([]server, g.Banks()),
+		reqs:   make([]Request, 1, initialRequests),
 		run:    &stats.Run{Arch: cfg.ArchName()},
 		probe:  cfg.Probe,
 	}
-	c.banks = make([][]*server, cfg.Geometry.Ranks)
-	for r := range c.banks {
-		c.banks[r] = make([]*server, cfg.Geometry.BanksPerRank)
-		for b := range c.banks[r] {
-			s := &server{rank: r, idx: b, openRow: -1, abortedRow: -1}
-			if cfg.WOM != nil {
-				tableSize := 1
-				if cfg.Refresh != nil {
-					tableSize = cfg.Refresh.TableSize
-				}
-				s.wom = newWOMState(cfg.WOM.Rewrites, tableSize, !cfg.WOM.FreshArrays)
-			}
-			c.banks[r][b] = s
+	c.rows.shift = uint(bits.TrailingZeros(uint(g.Banks())))
+	depth, cacheDepth := 0, 0
+	if cfg.WOM != nil {
+		depth = 1
+		if cfg.Refresh != nil {
+			depth = cfg.Refresh.TableSize
+		}
+	}
+	if cfg.Cache != nil && cfg.Cache.Technology == WOMCache {
+		cacheDepth = cfg.Cache.TableSize
+	}
+	// Every refresh table is a window of one slab; the 3-index slices cap
+	// each window at its depth.
+	tables := make([]int32, len(c.banks)*depth+g.Ranks*cacheDepth)
+	for i := range c.banks {
+		s := &c.banks[i]
+		s.rank, s.idx = i/g.BanksPerRank, i%g.BanksPerRank
+		s.openRow, s.abortedRow = -1, -1
+		if cfg.WOM != nil {
+			s.wom = womState{k: cfg.WOM.Rewrites, dirty: !cfg.WOM.FreshArrays, array: i, table: tables[:0:depth]}
+			tables = tables[depth:]
 		}
 	}
 	if cfg.Cache != nil {
-		c.caches = make([]*cacheArray, cfg.Geometry.Ranks)
+		c.caches = make([]server, g.Ranks)
+		c.cacheRows.shift = uint(bits.TrailingZeros(uint(g.Ranks)))
 		for r := range c.caches {
-			c.caches[r] = newCacheArray(r, cfg)
+			ca := &c.caches[r]
+			ca.rank, ca.idx, ca.openRow, ca.abortedRow = r, -1, -1, -1
+			if cacheDepth > 0 {
+				// Cache arrays are new, factory-erased hardware: fresh start.
+				ca.wom = womState{k: cfg.Cache.Rewrites, array: r, table: tables[:0:cacheDepth]}
+				tables = tables[cacheDepth:]
+			}
 		}
 	}
+	if cfg.Refresh != nil {
+		c.ranks = make([]rankState, g.Ranks)
+		c.need = thresholdCount(cfg.Refresh.ThresholdPct, g.BanksPerRank)
+	}
 	return c, nil
+}
+
+// bank returns the main-memory bank holding loc.
+func (c *Controller) bank(loc pcm.Location) *server {
+	return &c.banks[loc.Rank*c.cfg.Geometry.BanksPerRank+loc.Bank]
+}
+
+// rankBanks returns the banks of one rank.
+func (c *Controller) rankBanks(rank int) []server {
+	n := c.cfg.Geometry.BanksPerRank
+	return c.banks[rank*n : (rank+1)*n]
 }
 
 // Config returns the controller's configuration.
@@ -206,7 +282,7 @@ func (c *Controller) Config() Config { return c.cfg }
 func (c *Controller) Run(src trace.Source) (*stats.Run, error) {
 	next, ok := src.Next()
 	c.arrivalsDone = !ok
-	if c.refreshEnabled() && !c.arrivalsDone {
+	if c.cfg.refreshEnabled() && !c.arrivalsDone {
 		c.schedule(event{time: c.cfg.Timing.RefreshPeriod, kind: evRefreshTick})
 	}
 	for {
@@ -240,11 +316,13 @@ func (c *Controller) Run(src trace.Source) (*stats.Run, error) {
 	}
 }
 
-func (c *Controller) refreshEnabled() bool {
-	if c.cfg.Refresh != nil {
+// refreshEnabled reports whether the configuration runs refresh ticks:
+// main-memory PCM-refresh, or WCPCM's WOM-cache arrays.
+func (c Config) refreshEnabled() bool {
+	if c.Refresh != nil {
 		return true
 	}
-	return c.cfg.Cache != nil && c.cfg.Cache.Technology == WOMCache
+	return c.Cache != nil && c.Cache.Technology == WOMCache
 }
 
 // eventFlushStride bounds how often the shared Events counter is touched:
@@ -272,29 +350,28 @@ func (c *Controller) countEvent() {
 func (c *Controller) arrive(rec trace.Record) {
 	c.countEvent()
 	c.lastTime = rec.Time
-	req := c.newRequest(Request{
-		Op:     rec.Op,
-		Arrive: rec.Time,
-		Loc:    c.mapper.Map(rec.Addr),
-	})
-	c.route(req, rec.Time)
+	c.route(c.newRequest(rec.Op, rec.Time, c.mapper.Map(rec.Addr), false), rec.Time)
 }
 
-// newRequest admits r as a new in-flight request with the next ID. It
-// reuses a completed Request when one is free; the whole-struct assignment
-// resets every field, so no state carries over from the previous use.
-func (c *Controller) newRequest(r Request) *Request {
-	req := c.free
-	if req != nil {
-		c.free = req.next
+// newRequest admits a new in-flight request with the next ID and returns
+// its slab index. It reuses a completed slot when one is free, zeroing it
+// in place before filling it, so no state carries over from the previous
+// use. Any *Request taken before the call is invalid after it: the append
+// may move the slab.
+func (c *Controller) newRequest(op trace.Op, arrive Clock, loc pcm.Location, internal bool) int32 {
+	i := c.free
+	if i != 0 {
+		c.free = c.reqs[i].next
 	} else {
-		req = new(Request)
+		i = int32(len(c.reqs))
+		c.reqs = append(c.reqs, Request{})
 	}
-	r.ID = c.reqID
-	*req = r
+	r := &c.reqs[i]
+	*r = Request{}
+	r.ID, r.Op, r.Arrive, r.Loc, r.Internal = c.reqID, op, arrive, loc, internal
 	c.reqID++
 	c.inFlight++
-	return req
+	return i
 }
 
 // maybeCancelWrite implements write cancellation ([7]): an arriving read
@@ -303,11 +380,11 @@ func (c *Controller) newRequest(r Request) *Request {
 // read priority.
 func (c *Controller) maybeCancelWrite(s *server, now Clock) {
 	sched := c.cfg.Sched
-	if sched == nil || !sched.WriteCancellation {
+	if sched == nil || !sched.WriteCancellation || s.inService == 0 {
 		return
 	}
-	w := s.inService
-	if w == nil || w.Op != trace.Write {
+	w := &c.reqs[s.inService]
+	if w.Op != trace.Write {
 		return
 	}
 	max := sched.MaxCancels
@@ -320,42 +397,43 @@ func (c *Controller) maybeCancelWrite(s *server, now Clock) {
 	w.cancels++
 	c.run.WriteCancels++
 	s.token++ // the in-flight completion event is now stale
-	s.inService = nil
+	s.pushFront(c.reqs, s.inService)
+	s.inService = 0
 	s.busyUntil = now + c.cfg.PausePenalty
-	s.pushFront(w)
 }
 
-// route places a request on its server queue and attempts dispatch.
-func (c *Controller) route(req *Request, now Clock) {
+// route places request i on its server queue and attempts dispatch.
+func (c *Controller) route(i int32, now Clock) {
+	req := &c.reqs[i]
 	if c.cfg.Cache != nil && !req.Internal {
-		ca := c.caches[req.Loc.Rank]
+		ca := &c.caches[req.Loc.Rank]
 		if req.Op == trace.Write {
 			// §4 write protocol: every demand write targets the rank's
 			// WOM-cache; hit/miss resolves at dispatch.
-			ca.enqueue(req)
+			ca.enqueue(c.reqs, i)
 			c.dispatchCache(ca, now)
 			return
 		}
 		// §4 read protocol: probe cache and main memory in parallel; on a
 		// tag match the cache services the read.
-		if e, ok := ca.entries[req.Loc.Row]; ok && e.valid && e.bank == req.Loc.Bank {
+		if e := c.cacheRows.peek(req.Loc.Row, req.Loc.Rank); e.valid && int(e.tag) == req.Loc.Bank {
 			c.run.CacheHits++
 			req.class = stats.ReadCacheHit
 			if c.probe != nil {
 				c.probe.Emit(probe.Event{Time: now, Kind: probe.CacheHit,
 					Rank: req.Loc.Rank, Bank: -1, Row: req.Loc.Row})
 			}
-			ca.enqueue(req)
+			ca.enqueue(c.reqs, i)
 			c.dispatchCache(ca, now)
 			return
 		}
 		c.run.CacheMisses++
 	}
-	s := c.banks[req.Loc.Rank][req.Loc.Bank]
+	s := c.bank(req.Loc)
 	if req.Op == trace.Read {
 		c.maybeCancelWrite(s, now)
 	}
-	s.enqueue(req)
+	s.enqueue(c.reqs, i)
 	c.dispatchBank(s, now)
 }
 
@@ -365,7 +443,11 @@ func (c *Controller) route(req *Request, now Clock) {
 func (c *Controller) preemptRefresh(s *server, now Clock) {
 	s.refreshPending = false
 	if s.refreshRow >= 0 {
-		s.wom.abortRefresh(s.refreshRow)
+		rows := &c.rows
+		if s.idx < 0 {
+			rows = &c.cacheRows
+		}
+		s.wom.abortRefresh(rows, s.refreshRow)
 		c.run.RefreshAborts++
 		s.abortedRow = s.refreshRow
 		if c.probe != nil {
@@ -376,11 +458,23 @@ func (c *Controller) preemptRefresh(s *server, now Clock) {
 	s.busyUntil = now + c.cfg.PausePenalty
 }
 
-// dispatchBank starts service on a main-memory bank if possible.
+// dispatchBank starts service on a main-memory bank if possible, then
+// settles the bank's share of its rank's eligibility counters. Every
+// change to a bank's queue, in-service request, pending refresh or refresh
+// table ends in a dispatchBank, except a rank refresh starting, which
+// settles its banks itself.
 func (c *Controller) dispatchBank(s *server, now Clock) {
-	if s.inService != nil || s.empty() {
-		return
+	if s.inService == 0 && !s.empty() {
+		c.serveBank(s, now)
 	}
+	if c.ranks != nil {
+		c.settle(s)
+	}
+}
+
+// serveBank pops the next request of a bank with a waiting queue and
+// nothing in service, and schedules its completion.
+func (c *Controller) serveBank(s *server, now Clock) {
 	if s.refreshPending && s.refreshEnd > now {
 		if c.cfg.Refresh != nil && c.cfg.Refresh.NoPausing {
 			// Ablation: wait for the refresh to finish; refreshDone
@@ -390,19 +484,44 @@ func (c *Controller) dispatchBank(s *server, now Clock) {
 		}
 		c.preemptRefresh(s, now)
 	}
-	req := s.popPreferred(c.cfg.Sched != nil && c.cfg.Sched.ReadPriority)
+	i := s.popPreferred(c.reqs, c.cfg.Sched != nil && c.cfg.Sched.ReadPriority)
+	req := &c.reqs[i]
 	start := now
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}
 	dur := c.bankService(s, req)
-	s.inService = req
+	s.inService = i
 	s.busyUntil = start + dur
 	if c.probe != nil {
 		c.probe.Emit(probe.Event{Time: start, Dur: dur, Kind: probe.BankBusy,
 			Rank: s.rank, Bank: s.idx, Row: req.Loc.Row})
 	}
-	c.schedule(event{time: start + dur, kind: evComplete, rank: s.rank, bank: s.idx, token: s.token})
+	c.schedule(event{time: start + dur, kind: evComplete,
+		target: int32(s.rank*c.cfg.Geometry.BanksPerRank + s.idx), token: s.token})
+}
+
+// settle brings a bank's contribution to its rank's eligibility counters
+// up to date with the bank's state. The counters exist only when
+// main-memory PCM-refresh, their one reader, is configured.
+func (c *Controller) settle(s *server) {
+	r := &c.ranks[s.rank]
+	if busy := !s.quiescent(); busy != s.busy {
+		s.busy = busy
+		if busy {
+			r.busy++
+		} else {
+			r.busy--
+		}
+	}
+	if cands := s.wom.hasCandidates(); cands != s.cands {
+		s.cands = cands
+		if cands {
+			r.cands++
+		} else {
+			r.cands--
+		}
+	}
 }
 
 // bankService computes the service duration for a main-bank request and
@@ -428,7 +547,7 @@ func (c *Controller) bankService(s *server, req *Request) Clock {
 	} else {
 		// Classify without consuming the WOM budget: the budget commits
 		// at completion, so a cancelled write leaves the row untouched.
-		dur += c.classifyWrite(s.wom, req)
+		dur += c.classifyWrite(&s.wom, req)
 	}
 	dur += t.Column + t.Burst
 	if c.cfg.WOM != nil && c.cfg.WOM.Org == HiddenPage {
@@ -445,10 +564,10 @@ func (c *Controller) bankService(s *server, req *Request) Clock {
 func (c *Controller) classifyWrite(wom *womState, req *Request) Clock {
 	t := c.cfg.Timing
 	switch {
-	case wom == nil:
+	case wom.k == 0:
 		req.class = stats.WriteBaseline
 		return t.RowWrite
-	case !wom.atLimit(req.Loc.Row):
+	case !wom.atLimit(&c.rows, req.Loc.Row):
 		req.class = stats.WriteFast
 		return t.Reset
 	default:
@@ -461,8 +580,8 @@ func (c *Controller) classifyWrite(wom *womState, req *Request) Clock {
 // classification: generation 0 is the fast first-write pattern, an
 // in-budget generation is a RESET-only rewrite, and an exhausted budget
 // forces the slow α-write.
-func womWriteKind(w *womState, row int) probe.Kind {
-	switch gen := w.gen(row); {
+func womWriteKind(w *womState, rows *rowTable, row int) probe.Kind {
+	switch gen := w.gen(rows, row); {
 	case gen == 0:
 		return probe.WriteFirst
 	case gen < w.k:
@@ -472,74 +591,58 @@ func womWriteKind(w *womState, row int) probe.Kind {
 	}
 }
 
-// arrayWrite charges one PCM array row write, consuming the row's WOM
-// budget when the array is WOM-coded, and stores the class in *class.
-func (c *Controller) arrayWrite(wom *womState, row int, class *stats.ServiceClass) Clock {
-	t := c.cfg.Timing
-	switch {
-	case wom == nil:
-		*class = stats.WriteBaseline
-		return t.RowWrite
-	case wom.write(row):
-		*class = stats.WriteFast
-		return t.Reset
-	default:
-		*class = stats.WriteAlpha
-		return t.RowWrite
-	}
-}
-
 // handle dispatches one event.
 func (c *Controller) handle(ev event) {
 	switch ev.kind {
 	case evComplete:
-		s := c.banks[ev.rank][ev.bank]
+		s := &c.banks[ev.target]
 		if ev.token != s.token {
 			// The serviced write was cancelled; this completion is stale.
 			return
 		}
-		req := s.inService
-		if req.Op == trace.Write && s.wom != nil {
+		req := &c.reqs[s.inService]
+		if req.Op == trace.Write && s.wom.k > 0 {
 			// Commit the WOM budget the write consumed (classification
 			// happened at dispatch; commit waits for true completion so
 			// cancelled writes leave the row untouched). The probe event
 			// rides the commit: cancelled writes never surface.
 			if c.probe != nil {
-				c.probe.Emit(probe.Event{Time: ev.time, Kind: womWriteKind(s.wom, req.Loc.Row),
+				c.probe.Emit(probe.Event{Time: ev.time, Kind: womWriteKind(&s.wom, &c.rows, req.Loc.Row),
 					Rank: s.rank, Bank: s.idx, Row: req.Loc.Row})
 			}
-			s.wom.write(req.Loc.Row)
+			s.wom.write(&c.rows, req.Loc.Row)
 		} else if req.Op == trace.Write && c.probe != nil {
 			c.probe.Emit(probe.Event{Time: ev.time, Kind: probe.WriteFlipNWrite,
 				Rank: s.rank, Bank: s.idx, Row: req.Loc.Row})
 		}
-		c.complete(req, ev.time)
-		s.inService = nil
+		c.complete(s.inService, ev.time)
+		s.inService = 0
 		c.dispatchBank(s, ev.time)
 
 	case evCacheComplete:
-		ca := c.caches[ev.rank]
-		req := ca.inService
-		if req.spawnVictim {
-			c.spawnVictim(req, ev.time)
+		ca := &c.caches[ev.target]
+		i := ca.inService
+		if c.reqs[i].spawnVictim {
+			c.spawnVictim(i, ev.time)
 		}
 		// §4: the miss penalty beyond the cache access itself is a tag
 		// comparison — the victim write-back drains asynchronously.
-		c.complete(req, ev.time)
-		ca.inService = nil
+		c.complete(i, ev.time)
+		ca.inService = 0
 		c.dispatchCache(ca, ev.time)
 	case evRefreshTick:
 		c.refreshTick(ev.time)
 	case evRefreshDone:
-		c.refreshDone(ev.rank, ev.time)
+		c.refreshDone(int(ev.target), ev.time)
 	case evCacheRefreshDone:
-		c.cacheRefreshDone(ev.rank, ev.time)
+		c.cacheRefreshDone(int(ev.target), ev.time)
 	}
 }
 
-// complete records a finished request and returns it to the free list; the
-// caller must drop its reference.
-func (c *Controller) complete(req *Request, now Clock) {
+// complete records finished request i and returns its slot to the free
+// list; the caller must drop the index.
+func (c *Controller) complete(i int32, now Clock) {
+	req := &c.reqs[i]
 	c.run.Class(req.class)
 	if !req.Internal {
 		lat := now - req.Arrive
@@ -555,26 +658,23 @@ func (c *Controller) complete(req *Request, now Clock) {
 	}
 	c.inFlight--
 	req.next = c.free
-	c.free = req
+	c.free = i
 }
 
-// spawnVictim inserts the WOM-cache victim write-back into the main memory
-// queue (§4: "the write request of the victim data in the register is
-// inserted into the queue of memory accesses issued to the PCM main
-// memory").
-func (c *Controller) spawnVictim(req *Request, now Clock) {
-	victim := c.newRequest(Request{
-		Op:       trace.Write,
-		Arrive:   now,
-		Loc:      pcm.Location{Rank: req.Loc.Rank, Bank: req.victimBank, Row: req.Loc.Row},
-		Internal: true,
-	})
+// spawnVictim inserts the WOM-cache victim write-back of cache miss i into
+// the main memory queue (§4: "the write request of the victim data in the
+// register is inserted into the queue of memory accesses issued to the PCM
+// main memory").
+func (c *Controller) spawnVictim(miss int32, now Clock) {
+	m := &c.reqs[miss]
+	loc := pcm.Location{Rank: m.Loc.Rank, Bank: m.victimBank, Row: m.Loc.Row}
+	victim := c.newRequest(trace.Write, now, loc, true) // m is invalid from here
 	c.run.VictimWrites++
 	if c.probe != nil {
 		c.probe.Emit(probe.Event{Time: now, Kind: probe.CacheWriteback,
-			Rank: victim.Loc.Rank, Bank: victim.Loc.Bank, Row: victim.Loc.Row})
+			Rank: loc.Rank, Bank: loc.Bank, Row: loc.Row})
 	}
-	s := c.banks[victim.Loc.Rank][victim.Loc.Bank]
-	s.enqueue(victim)
+	s := c.bank(loc)
+	s.enqueue(c.reqs, victim)
 	c.dispatchBank(s, now)
 }

@@ -21,12 +21,13 @@ const (
 type event struct {
 	time Clock
 	seq  uint64
-	kind eventKind
-	rank int
-	bank int
 	// token matches server.token for completion events; a cancellation
 	// bumps the server token, orphaning the in-flight event.
 	token uint64
+	// target is the bank index (rank*BanksPerRank + bank) of an evComplete
+	// and the rank of every other per-rank event.
+	target int32
+	kind   eventKind
 }
 
 // eventHeap is a binary min-heap on (time, seq) over plain event values.

@@ -165,3 +165,87 @@ func TestControllerFuzzDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// walkRank is the reference idle-rank and r_th check the per-rank counters
+// replace: a walk over the rank's banks counting the ones that are not
+// quiescent and the ones with a refresh candidate.
+func walkRank(c *Controller, rank int, now Clock) (busy, cands int32, eligible bool) {
+	idle := true
+	banks := c.rankBanks(rank)
+	for i := range banks {
+		s := &banks[i]
+		if !s.idleAt(now) {
+			idle = false
+		}
+		if !s.quiescent() {
+			busy++
+		}
+		if s.wom.hasCandidates() {
+			cands++
+		}
+	}
+	need := thresholdCount(c.cfg.Refresh.ThresholdPct, c.cfg.Geometry.BanksPerRank)
+	return busy, cands, idle && int(cands) >= need
+}
+
+// TestEligibilityCountersMatchWalk drives every feature combination with
+// adversarial traces and, at every refresh tick, checks the per-rank
+// counters against the reference walk, and that no quiescent bank or cache
+// array has a busyUntil in the future (the invariant that lets
+// rankEligible skip that test). At the default timing a refresh ends long
+// before the next tick, so every refreshing combination also runs with a
+// 100 ns tick, shorter than any refresh: ticks then land while refreshes
+// are pending.
+func TestEligibilityCountersMatchWalk(t *testing.T) {
+	cfgs := fuzzConfigs()
+	for _, cfg := range fuzzConfigs() {
+		if cfg.refreshEnabled() {
+			cfg.Timing.RefreshPeriod = 100
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		recs := fuzzTrace(seed, 2500)
+		for i, cfg := range cfgs {
+			name := fmt.Sprintf("seed %d cfg %d (%s)", seed, i, cfg.ArchName())
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ticks, eligible := 0, 0
+			c.onTick = func(now Clock) {
+				ticks++
+				for _, servers := range [][]server{c.banks, c.caches} {
+					for j := range servers {
+						if s := &servers[j]; s.quiescent() && s.busyUntil > now {
+							t.Fatalf("%s: quiescent server %d/%d busy until %d at tick %d",
+								name, s.rank, s.idx, s.busyUntil, now)
+						}
+					}
+				}
+				if cfg.Refresh == nil {
+					return
+				}
+				for r := range c.ranks {
+					busy, cands, want := walkRank(c, r, now)
+					if got := c.ranks[r]; got.busy != busy || got.cands != cands || c.rankEligible(r) != want {
+						t.Fatalf("%s: rank %d at tick %d: counters %+v eligible %v, walk busy %d cands %d eligible %v",
+							name, r, now, got, c.rankEligible(r), busy, cands, want)
+					}
+					if want {
+						eligible++
+					}
+				}
+			}
+			if _, err := c.Run(trace.NewSliceSource(recs)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if cfg.refreshEnabled() && ticks == 0 {
+				t.Fatalf("%s: no refresh tick ran", name)
+			}
+			if cfg.Refresh != nil && eligible == 0 {
+				t.Fatalf("%s: no rank was ever eligible, so the check saw only one answer", name)
+			}
+		}
+	}
+}

@@ -8,61 +8,61 @@ import (
 	"womcpcm/internal/trace"
 )
 
-// requestsCreated counts the Requests a drained controller ever created:
-// every one of them has completed and sits on the free list.
-func requestsCreated(c *Controller) int {
-	n := 0
-	for r := c.free; r != nil; r = r.next {
-		n++
-	}
-	return n
-}
+// requestsCreated counts the Requests a controller ever created: the
+// slab's population, less the sentinel slot.
+func requestsCreated(c *Controller) int { return len(c.reqs) - 1 }
 
 // queueIDs lists the IDs waiting on s, head first.
-func queueIDs(s *server) []uint64 {
+func queueIDs(reqs []Request, s *server) []uint64 {
 	var ids []uint64
-	for r := s.head; r != nil; r = r.next {
-		ids = append(ids, r.ID)
+	for i := s.head; i != 0; i = reqs[i].next {
+		ids = append(ids, reqs[i].ID)
 	}
 	return ids
 }
 
 // TestServerQueueOrder drives the linked FIFO through every operation:
 // plain pops, read-priority pops from the head, the middle and the tail,
-// and a cancelled write returning to the head.
+// and a cancelled write returning to the head. Slot i of the slab holds
+// the request with ID i; slot 0 is the sentinel.
 func TestServerQueueOrder(t *testing.T) {
+	reqs := make([]Request, 9)
+	for i := range reqs {
+		reqs[i].ID = uint64(i)
+	}
 	var s server
 	for i, op := range []trace.Op{trace.Write, trace.Read, trace.Write, trace.Read} {
-		s.enqueue(&Request{ID: uint64(i), Op: op})
+		reqs[i+1].Op = op
+		s.enqueue(reqs, int32(i+1))
 	}
 	steps := []struct {
 		readFirst bool
 		want      uint64
 		rest      []uint64
 	}{
-		{true, 1, []uint64{0, 2, 3}}, // first read, from the middle
-		{true, 3, []uint64{0, 2}},    // the tail
-		{true, 0, []uint64{2}},       // no read left: plain FIFO
-		{false, 2, nil},              // the last request
+		{true, 2, []uint64{1, 3, 4}}, // first read, from the middle
+		{true, 4, []uint64{1, 3}},    // the tail
+		{true, 1, []uint64{3}},       // no read left: plain FIFO
+		{false, 3, nil},              // the last request
 	}
 	for i, st := range steps {
-		r := s.popPreferred(st.readFirst)
-		if r.ID != st.want || r.next != nil {
-			t.Fatalf("step %d: popped %d (next %v), want %d unlinked", i, r.ID, r.next, st.want)
+		r := s.popPreferred(reqs, st.readFirst)
+		if reqs[r].ID != st.want || reqs[r].next != 0 {
+			t.Fatalf("step %d: popped %d (next %d), want %d unlinked", i, reqs[r].ID, reqs[r].next, st.want)
 		}
-		if got := queueIDs(&s); !slices.Equal(got, st.rest) {
+		if got := queueIDs(reqs, &s); !slices.Equal(got, st.rest) {
 			t.Fatalf("step %d: queue %v, want %v", i, got, st.rest)
 		}
 	}
-	if !s.empty() || s.tail != nil {
-		t.Fatalf("drained queue not empty: head %v tail %v", s.head, s.tail)
+	if !s.empty() || s.tail != 0 {
+		t.Fatalf("drained queue not empty: head %d tail %d", s.head, s.tail)
 	}
 	// pushFront on an empty queue must also set the tail, so a following
 	// enqueue lands behind it.
-	s.pushFront(&Request{ID: 7})
-	s.enqueue(&Request{ID: 8})
-	s.pushFront(&Request{ID: 6})
-	if got := queueIDs(&s); !slices.Equal(got, []uint64{6, 7, 8}) {
+	s.pushFront(reqs, 7)
+	s.enqueue(reqs, 8)
+	s.pushFront(reqs, 6)
+	if got := queueIDs(reqs, &s); !slices.Equal(got, []uint64{6, 7, 8}) {
 		t.Fatalf("queue after pushFront %v, want [6 7 8]", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestServerQueueOrder(t *testing.T) {
 // writes arrive at once, then one every 170 ns, the service time of a write
 // to the open row, so the queue never drains. The memory a run holds must
 // follow the peak queue depth, not the number of admitted requests: the
-// queue links the waiting Requests themselves and completed ones are
+// queue links the waiting Requests by slab index and completed slots are
 // reused, so at most six ever exist (the initial five plus the arrival
 // that lands just before each completion), and a run of 100k writes
 // allocates exactly as much as a run of 10k.

@@ -30,6 +30,9 @@ func (c *Controller) emitRefreshStart(s *server, row int, now Clock) {
 // refreshTick runs one scheduling point and re-arms the next while the
 // simulation still has work.
 func (c *Controller) refreshTick(now Clock) {
+	if c.onTick != nil {
+		c.onTick(now)
+	}
 	if c.cfg.Cache != nil {
 		c.cacheRefreshTick(now)
 	} else if c.cfg.Refresh != nil {
@@ -51,7 +54,7 @@ func (c *Controller) mainRefreshTick(now Clock) {
 	issued := 0
 	for i := 0; i < ranks && issued < budget; i++ {
 		r := (c.rrNext + i) % ranks
-		if c.rankEligible(r, now) {
+		if c.rankEligible(r) {
 			c.startRankRefresh(r, now)
 			issued++
 			if issued == budget {
@@ -61,19 +64,13 @@ func (c *Controller) mainRefreshTick(now Clock) {
 	}
 }
 
-// rankEligible implements the idle-rank and r_th checks.
-func (c *Controller) rankEligible(rank int, now Clock) bool {
-	need := thresholdCount(c.cfg.Refresh.ThresholdPct, c.cfg.Geometry.BanksPerRank)
-	candidates := 0
-	for _, s := range c.banks[rank] {
-		if !s.idleAt(now) {
-			return false
-		}
-		if s.wom.hasCandidates() {
-			candidates++
-		}
-	}
-	return candidates >= need
+// rankEligible implements the idle-rank and r_th checks from the rank's
+// counters: no bank busy, queued or refreshing, and at least need banks
+// with a candidate row. (A quiescent bank is also past its busyUntil; see
+// server.quiescent.)
+func (c *Controller) rankEligible(rank int) bool {
+	r := c.ranks[rank]
+	return r.busy == 0 && int(r.cands) >= c.need
 }
 
 // thresholdCount converts r_th% of banksPerRank into a minimum candidate
@@ -95,7 +92,9 @@ func (c *Controller) startRankRefresh(rank int, now Clock) {
 	if c.probe != nil {
 		c.probe.Emit(probe.Event{Time: now, Kind: probe.RefreshScheduled, Rank: rank, Bank: -1, Row: -1})
 	}
-	for _, s := range c.banks[rank] {
+	banks := c.rankBanks(rank)
+	for i := range banks {
+		s := &banks[i]
 		row, ok := s.wom.popCandidate()
 		if !ok {
 			row = -1
@@ -108,17 +107,20 @@ func (c *Controller) startRankRefresh(rank int, now Clock) {
 		if row >= 0 {
 			c.emitRefreshStart(s, row, now)
 		}
+		c.settle(s)
 	}
-	c.schedule(event{time: end, kind: evRefreshDone, rank: rank})
+	c.schedule(event{time: end, kind: evRefreshDone, target: int32(rank)})
 }
 
 // refreshDone commits the refreshes that were not preempted.
 func (c *Controller) refreshDone(rank int, now Clock) {
-	for _, s := range c.banks[rank] {
+	banks := c.rankBanks(rank)
+	for i := range banks {
+		s := &banks[i]
 		if s.refreshPending && s.refreshEnd == now {
 			s.refreshPending = false
 			if s.refreshRow >= 0 {
-				s.wom.commitRefresh(s.refreshRow)
+				s.wom.commitRefresh(&c.rows, s.refreshRow)
 				c.run.Refreshes++
 				if c.probe != nil {
 					c.probe.Emit(probe.Event{Time: s.refreshStart, Dur: now - s.refreshStart,
@@ -134,8 +136,9 @@ func (c *Controller) refreshDone(rank int, now Clock) {
 // candidate; the threshold concept degenerates to "has at least one
 // candidate" for the single per-rank array.
 func (c *Controller) cacheRefreshTick(now Clock) {
-	for r, ca := range c.caches {
-		if ca.wom == nil {
+	for r := range c.caches {
+		ca := &c.caches[r]
+		if ca.wom.k == 0 {
 			continue // DRAM cache arrays need no PCM-refresh
 		}
 		if ca.idleAt(now) && ca.wom.hasCandidates() {
@@ -148,18 +151,18 @@ func (c *Controller) cacheRefreshTick(now Clock) {
 			if c.probe != nil {
 				c.probe.Emit(probe.Event{Time: now, Kind: probe.RefreshScheduled, Rank: r, Bank: -1, Row: -1})
 			}
-			c.emitRefreshStart(&ca.server, row, now)
-			c.schedule(event{time: ca.refreshEnd, kind: evCacheRefreshDone, rank: r})
+			c.emitRefreshStart(ca, row, now)
+			c.schedule(event{time: ca.refreshEnd, kind: evCacheRefreshDone, target: int32(r)})
 		}
 	}
 }
 
 // cacheRefreshDone commits a cache array refresh unless preempted.
 func (c *Controller) cacheRefreshDone(rank int, now Clock) {
-	ca := c.caches[rank]
+	ca := &c.caches[rank]
 	if ca.refreshPending && ca.refreshEnd == now {
 		ca.refreshPending = false
-		ca.wom.commitRefresh(ca.refreshRow)
+		ca.wom.commitRefresh(&c.cacheRows, ca.refreshRow)
 		c.run.Refreshes++
 		if c.probe != nil {
 			c.probe.Emit(probe.Event{Time: ca.refreshStart, Dur: now - ca.refreshStart,

@@ -161,14 +161,23 @@ func (l Location) String() string {
 // the channel (bank, then rank), spreading the access stream for
 // parallelism the way DRAMSim2's default scheme does.
 //
-// Address layout, LSB first: column offset | bank | rank | row.
+// Address layout, LSB first: column offset | bank | rank | row. The masks
+// and shifts are fixed at construction, so Map decodes with shifts and
+// masks alone.
 type AddrMapper struct {
-	g         Geometry
-	colBits   uint
-	bankBits  uint
-	rankBits  uint
-	rowBits   uint
-	rowStride int64
+	g        Geometry
+	colBits  uint
+	bankBits uint
+	rankBits uint
+	colMask  uint64
+	bankMask uint64
+	rankMask uint64
+	rowMask  uint64
+	// colBytes is the byte width of one column across the devices; a
+	// power-of-two width divides by shifting colShift instead.
+	colBytes int
+	colShift uint
+	colPow2  bool
 }
 
 // NewAddrMapper builds a mapper for g. The geometry must validate.
@@ -176,13 +185,21 @@ func NewAddrMapper(g Geometry) (*AddrMapper, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	m := &AddrMapper{g: g}
-	m.colBits = uint(bits.Len(uint(g.RowBytes() - 1)))
-	m.bankBits = uint(bits.TrailingZeros(uint(g.BanksPerRank)))
-	m.rankBits = uint(bits.TrailingZeros(uint(g.Ranks)))
-	m.rowBits = uint(bits.TrailingZeros(uint(g.RowsPerBank)))
-	m.rowStride = int64(g.RowBytes())
-	return m, nil
+	rowBytes := g.RowBytes()
+	colBytes := (g.DataWidth() + 7) / 8
+	return &AddrMapper{
+		g:        g,
+		colBits:  uint(bits.Len(uint(rowBytes - 1))),
+		bankBits: uint(bits.TrailingZeros(uint(g.BanksPerRank))),
+		rankBits: uint(bits.TrailingZeros(uint(g.Ranks))),
+		colMask:  uint64(rowBytes) - 1,
+		bankMask: uint64(g.BanksPerRank) - 1,
+		rankMask: uint64(g.Ranks) - 1,
+		rowMask:  uint64(g.RowsPerBank) - 1,
+		colBytes: colBytes,
+		colShift: uint(bits.TrailingZeros(uint(colBytes))),
+		colPow2:  colBytes&(colBytes-1) == 0,
+	}, nil
 }
 
 // Geometry returns the mapper's geometry.
@@ -190,25 +207,29 @@ func (m *AddrMapper) Geometry() Geometry { return m.g }
 
 // Map decodes a physical byte address. Addresses beyond the capacity wrap.
 func (m *AddrMapper) Map(addr uint64) Location {
-	col := addr & (uint64(m.g.RowBytes()) - 1)
+	col := int(addr & m.colMask)
+	if m.colPow2 {
+		col >>= m.colShift
+	} else {
+		col /= m.colBytes
+	}
 	rest := addr >> m.colBits
-	bank := rest & (uint64(m.g.BanksPerRank) - 1)
+	bank := rest & m.bankMask
 	rest >>= m.bankBits
-	rank := rest & (uint64(m.g.Ranks) - 1)
+	rank := rest & m.rankMask
 	rest >>= m.rankBits
-	row := rest & (uint64(m.g.RowsPerBank) - 1)
 	return Location{
 		Rank: int(rank),
 		Bank: int(bank),
-		Row:  int(row),
-		Col:  int(col) / ((m.g.DataWidth() + 7) / 8),
+		Row:  int(rest & m.rowMask),
+		Col:  col,
 	}
 }
 
 // Unmap composes a physical byte address from a location (column offset 0
 // within the column's data width).
 func (m *AddrMapper) Unmap(loc Location) uint64 {
-	colBytes := uint64(loc.Col) * uint64((m.g.DataWidth()+7)/8)
+	colBytes := uint64(loc.Col) * uint64(m.colBytes)
 	addr := uint64(loc.Row)
 	addr = addr<<m.rankBits | uint64(loc.Rank)
 	addr = addr<<m.bankBits | uint64(loc.Bank)

@@ -2,6 +2,7 @@ package pcm
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +100,44 @@ func TestAddrMapperRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceMap is the decode Map implements, computed from the geometry on
+// every call.
+func referenceMap(g Geometry, addr uint64) Location {
+	colBits := uint(bits.Len(uint(g.RowBytes() - 1)))
+	rest := addr >> colBits
+	bank := rest & uint64(g.BanksPerRank-1)
+	rest >>= uint(bits.TrailingZeros(uint(g.BanksPerRank)))
+	rank := rest & uint64(g.Ranks-1)
+	rest >>= uint(bits.TrailingZeros(uint(g.Ranks)))
+	return Location{
+		Rank: int(rank),
+		Bank: int(bank),
+		Row:  int(rest & uint64(g.RowsPerBank-1)),
+		Col:  int(addr&uint64(g.RowBytes()-1)) / ((g.DataWidth() + 7) / 8),
+	}
+}
+
+// TestAddrMapperMatchesReference checks Map's precomputed masks and shifts
+// against the reference decode on random addresses, for power-of-two and
+// other column widths and row sizes.
+func TestAddrMapperMatchesReference(t *testing.T) {
+	for _, g := range []Geometry{
+		DefaultGeometry(),
+		{Ranks: 2, BanksPerRank: 4, RowsPerBank: 64, ColsPerRow: 16, BitsPerCol: 8, Devices: 8},
+		{Ranks: 4, BanksPerRank: 8, RowsPerBank: 1024, ColsPerRow: 2048, BitsPerCol: 4, Devices: 6}, // 3-byte columns
+		{Ranks: 1, BanksPerRank: 2, RowsPerBank: 16, ColsPerRow: 8, BitsPerCol: 5, Devices: 1},      // 5-byte rows
+	} {
+		m, err := NewAddrMapper(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prop := func(addr uint64) bool { return m.Map(addr) == referenceMap(g, addr) }
+		if err := quick.Check(prop, nil); err != nil {
+			t.Errorf("%+v: %v", g, err)
+		}
 	}
 }
 
