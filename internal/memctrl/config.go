@@ -99,6 +99,15 @@ type RefreshConfig struct {
 	MaxRanksPerTick int
 }
 
+// CandidateBanks converts ThresholdPct into the r_th threshold the refresh
+// engine applies on ranks of banksPerRank banks: the minimum number of
+// banks with a candidate row, ⌊ThresholdPct·banksPerRank/100⌋ and at least
+// one. Thresholds with the same count behave identically; on 32 banks, 0%
+// and 5% both need one bank.
+func (r *RefreshConfig) CandidateBanks(banksPerRank int) int {
+	return max(int(r.ThresholdPct*float64(banksPerRank)/100), 1)
+}
+
 // DefaultRefresh returns the default configuration: the paper's 5-entry
 // row address table and an eager threshold (the paper introduces r_th but
 // does not fix its value; the RthSweep ablation explores it).

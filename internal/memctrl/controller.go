@@ -155,10 +155,11 @@ type rankState struct{ busy, cands int32 }
 const initialRequests = 64
 
 // Controller simulates one memory channel under the configured
-// architecture. Create with New, feed a time-ordered trace with Run.
+// architecture. Create with New, feed a time-ordered trace with Run, and
+// Reset to run again.
 type Controller struct {
 	cfg    Config
-	mapper *pcm.AddrMapper
+	mapper pcm.AddrMapper
 	// banks holds every main-memory bank, indexed rank*BanksPerRank+bank;
 	// caches holds one WOM-cache array per rank when cfg.Cache is set.
 	banks  []server
@@ -171,8 +172,13 @@ type Controller struct {
 	// newRequest reuses.
 	reqs []Request
 	free int32
+	// tables is the slab every refresh table is a window of (see
+	// womState.table); spare holds row pages a Reset took back from rows
+	// and cacheRows, for either table to reuse.
+	tables []int32
+	spare  []*rowPage
 	// ranks holds every rank's refresh-eligibility counters, kept by
-	// settle when main-memory PCM-refresh is configured (nil otherwise);
+	// settle when main-memory PCM-refresh is configured (empty otherwise);
 	// need is the r_th threshold as a candidate-bank count.
 	ranks []rankState
 	need  int
@@ -196,31 +202,39 @@ type Controller struct {
 	evLocal int64
 }
 
-// New builds a controller; the config must validate. Construction
-// allocates a fixed number of objects whatever the geometry: the banks,
-// the cache arrays and their refresh tables are each one slice, and row
-// state is allocated a page at a time as rows are first written.
+// New builds a controller; the config must validate. It is Reset on a zero
+// Controller.
 func New(cfg Config) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Controller)
+	if err := c.Reset(cfg); err != nil {
 		return nil, err
+	}
+	return c, nil
+}
+
+// Reset rebuilds the controller for cfg, which must validate, as New would,
+// while keeping its storage: the bank and cache arrays, the refresh-table
+// slab, the Request slab, the event heap, the rank counters and the row
+// pages are reused where they are large enough, so a Reset to an equal or
+// smaller geometry allocates only the next run's statistics. Every counter,
+// the request IDs and the event sequence start again from zero, and the
+// onTick hook is cleared.
+//
+// Reset invalidates every Request index and row-page pointer taken from the
+// controller. It never touches a run an earlier Run returned: each run gets
+// a fresh *stats.Run. A Reset that fails leaves the controller unchanged.
+func (c *Controller) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.PausePenalty == 0 {
 		cfg.PausePenalty = cfg.Timing.Burst
 	}
-	mapper, err := pcm.NewAddrMapper(cfg.Geometry)
-	if err != nil {
-		return nil, err
-	}
 	g := cfg.Geometry
-	c := &Controller{
-		cfg:    cfg,
-		mapper: mapper,
-		banks:  make([]server, g.Banks()),
-		reqs:   make([]Request, 1, initialRequests),
-		run:    &stats.Run{Arch: cfg.ArchName()},
-		probe:  cfg.Probe,
+	var mapper pcm.AddrMapper
+	if err := mapper.Reset(g); err != nil {
+		return err
 	}
-	c.rows.shift = uint(bits.TrailingZeros(uint(g.Banks())))
 	depth, cacheDepth := 0, 0
 	if cfg.WOM != nil {
 		depth = 1
@@ -231,9 +245,31 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Cache != nil && cfg.Cache.Technology == WOMCache {
 		cacheDepth = cfg.Cache.TableSize
 	}
+	// Everything not carried over below starts from its zero value.
+	*c = Controller{
+		cfg:       cfg,
+		mapper:    mapper,
+		banks:     resize(c.banks, g.Banks()),
+		caches:    c.caches[:0],
+		rows:      c.rows,
+		cacheRows: c.cacheRows,
+		reqs:      c.reqs,
+		ranks:     c.ranks[:0],
+		tables:    resize(c.tables, g.Banks()*depth+g.Ranks*cacheDepth),
+		spare:     c.spare,
+		events:    c.events[:0],
+		run:       &stats.Run{Arch: cfg.ArchName()},
+		probe:     cfg.Probe,
+	}
+	if c.reqs == nil {
+		c.reqs = make([]Request, 1, initialRequests)
+	}
+	c.reqs = c.reqs[:1]
+	c.rows.reset(uint(bits.TrailingZeros(uint(g.Banks()))), &c.spare)
+	c.cacheRows.reset(uint(bits.TrailingZeros(uint(g.Ranks))), &c.spare)
 	// Every refresh table is a window of one slab; the 3-index slices cap
 	// each window at its depth.
-	tables := make([]int32, len(c.banks)*depth+g.Ranks*cacheDepth)
+	tables := c.tables
 	for i := range c.banks {
 		s := &c.banks[i]
 		s.rank, s.idx = i/g.BanksPerRank, i%g.BanksPerRank
@@ -244,8 +280,7 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 	if cfg.Cache != nil {
-		c.caches = make([]server, g.Ranks)
-		c.cacheRows.shift = uint(bits.TrailingZeros(uint(g.Ranks)))
+		c.caches = resize(c.caches, g.Ranks)
 		for r := range c.caches {
 			ca := &c.caches[r]
 			ca.rank, ca.idx, ca.openRow, ca.abortedRow = r, -1, -1, -1
@@ -257,10 +292,21 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 	if cfg.Refresh != nil {
-		c.ranks = make([]rankState, g.Ranks)
-		c.need = thresholdCount(cfg.Refresh.ThresholdPct, g.BanksPerRank)
+		c.ranks = resize(c.ranks, g.Ranks)
+		c.need = cfg.Refresh.CandidateBanks(g.BanksPerRank)
 	}
-	return c, nil
+	return nil
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when the capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // bank returns the main-memory bank holding loc.
@@ -278,7 +324,7 @@ func (c *Controller) rankBanks(rank int) []server {
 func (c *Controller) Config() Config { return c.cfg }
 
 // Run drains src through the simulated memory system and returns the
-// collected statistics. The controller is single-use.
+// collected statistics. A controller runs once per New or Reset.
 func (c *Controller) Run(src trace.Source) (*stats.Run, error) {
 	next, ok := src.Next()
 	c.arrivalsDone = !ok
@@ -467,7 +513,7 @@ func (c *Controller) dispatchBank(s *server, now Clock) {
 	if s.inService == 0 && !s.empty() {
 		c.serveBank(s, now)
 	}
-	if c.ranks != nil {
+	if len(c.ranks) > 0 {
 		c.settle(s)
 	}
 }

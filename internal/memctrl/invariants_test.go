@@ -184,7 +184,7 @@ func walkRank(c *Controller, rank int, now Clock) (busy, cands int32, eligible b
 			cands++
 		}
 	}
-	need := thresholdCount(c.cfg.Refresh.ThresholdPct, c.cfg.Geometry.BanksPerRank)
+	need := c.cfg.Refresh.CandidateBanks(c.cfg.Geometry.BanksPerRank)
 	return busy, cands, idle && int(cands) >= need
 }
 

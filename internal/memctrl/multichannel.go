@@ -8,7 +8,7 @@ import (
 )
 
 // MultiChannel simulates an n-channel memory system: n independent
-// controllers (each with the full per-channel geometry) with consecutive
+// channels (each with the full per-channel geometry) with consecutive
 // cache lines striped across channels. The paper evaluates a single
 // channel (§5); multi-channel is the §1 "exascale capacity" scaling axis —
 // channels multiply both capacity and bandwidth, and because each channel
@@ -18,8 +18,10 @@ import (
 // Address mapping: the line-interleave bits directly above the 64-byte
 // line offset select the channel, so streams fan out across channels.
 type MultiChannel struct {
-	controllers []*Controller
-	channels    int
+	cfg      Config
+	channels int
+	// ctrl simulates every channel in turn, Reset to cfg before each.
+	ctrl *Controller
 }
 
 // lineShift is the log2 of the striping granularity (one 64-byte line).
@@ -31,15 +33,10 @@ func NewMultiChannel(cfg Config, n int) (*MultiChannel, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("memctrl: channel count must be a positive power of two, got %d", n)
 	}
-	mc := &MultiChannel{channels: n}
-	for i := 0; i < n; i++ {
-		ctrl, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		mc.controllers = append(mc.controllers, ctrl)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return mc, nil
+	return &MultiChannel{cfg: cfg, channels: n, ctrl: new(Controller)}, nil
 }
 
 // Channels returns the channel count.
@@ -58,25 +55,20 @@ func (m *MultiChannel) channelOf(addr uint64) (int, uint64) {
 }
 
 // Run splits the trace across channels and simulates them. Channels are
-// fully independent, so each is run to completion on its own sub-trace;
-// statistics are merged (latency distributions, class and event counters).
+// fully independent, so each is run to completion on its own sub-trace, one
+// after another on one controller; statistics are merged (latency
+// distributions, class and event counters).
 func (m *MultiChannel) Run(src trace.Source) (*stats.Run, error) {
-	subs := make([][]trace.Record, m.channels)
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		ch, local := m.channelOf(rec.Addr)
-		rec.Addr = local
-		subs[ch] = append(subs[ch], rec)
-	}
-	if err := src.Err(); err != nil {
+	recs, err := trace.Collect(src)
+	if err != nil {
 		return nil, err
 	}
 	var merged *stats.Run
-	for ch, ctrl := range m.controllers {
-		run, err := ctrl.Run(trace.NewSliceSource(subs[ch]))
+	for ch := 0; ch < m.channels; ch++ {
+		if err := m.ctrl.Reset(m.cfg); err != nil {
+			return nil, err
+		}
+		run, err := m.ctrl.Run(&channelSource{m: m, ch: ch, recs: recs})
 		if err != nil {
 			return nil, fmt.Errorf("memctrl: channel %d: %w", ch, err)
 		}
@@ -89,6 +81,30 @@ func (m *MultiChannel) Run(src trace.Source) (*stats.Run, error) {
 	merged.Arch = fmt.Sprintf("%s ×%d channels", merged.Arch, m.channels)
 	return merged, nil
 }
+
+// channelSource yields channel ch's sub-trace of recs, in order and with
+// channel-local addresses, without copying it out.
+type channelSource struct {
+	m    *MultiChannel
+	ch   int
+	recs []trace.Record
+}
+
+// Next implements trace.Source.
+func (s *channelSource) Next() (trace.Record, bool) {
+	for len(s.recs) > 0 {
+		rec := s.recs[0]
+		s.recs = s.recs[1:]
+		if ch, local := s.m.channelOf(rec.Addr); ch == s.ch {
+			rec.Addr = local
+			return rec, true
+		}
+	}
+	return trace.Record{}, false
+}
+
+// Err implements trace.Source; the records are already in memory.
+func (*channelSource) Err() error { return nil }
 
 // mergeRuns folds b's measurements into a.
 func mergeRuns(a, b *stats.Run) {

@@ -73,16 +73,6 @@ func (c *Controller) rankEligible(rank int) bool {
 	return r.busy == 0 && int(r.cands) >= c.need
 }
 
-// thresholdCount converts r_th% of banksPerRank into a minimum candidate
-// bank count, at least 1.
-func thresholdCount(pct float64, banksPerRank int) int {
-	need := int(pct * float64(banksPerRank) / 100)
-	if need < 1 {
-		need = 1
-	}
-	return need
-}
-
 // startRankRefresh issues the burst-mode refresh command: every bank of the
 // rank is occupied for t_WR + N_bank·L_burst/2; banks with a tracked
 // at-limit row rewrite it, the others merely participate in the burst.

@@ -143,14 +143,16 @@ func TestThresholdCount(t *testing.T) {
 		want  int
 	}{
 		{0, 32, 1},
+		{5, 32, 1},
 		{10, 32, 3},
 		{50, 32, 16},
 		{100, 32, 32},
 		{10, 4, 1},
 	}
 	for _, tt := range tests {
-		if got := thresholdCount(tt.pct, tt.banks); got != tt.want {
-			t.Errorf("thresholdCount(%v, %d) = %d, want %d", tt.pct, tt.banks, got, tt.want)
+		r := RefreshConfig{ThresholdPct: tt.pct}
+		if got := r.CandidateBanks(tt.banks); got != tt.want {
+			t.Errorf("CandidateBanks(%d) at %v%% = %d, want %d", tt.banks, tt.pct, got, tt.want)
 		}
 	}
 }

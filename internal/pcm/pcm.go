@@ -182,12 +182,22 @@ type AddrMapper struct {
 
 // NewAddrMapper builds a mapper for g. The geometry must validate.
 func NewAddrMapper(g Geometry) (*AddrMapper, error) {
-	if err := g.Validate(); err != nil {
+	m := new(AddrMapper)
+	if err := m.Reset(g); err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// Reset rebuilds m in place as a mapper for g, so a mapper held by value
+// needs no allocation. The geometry must validate; on error m is unchanged.
+func (m *AddrMapper) Reset(g Geometry) error {
+	if err := g.Validate(); err != nil {
+		return err
 	}
 	rowBytes := g.RowBytes()
 	colBytes := (g.DataWidth() + 7) / 8
-	return &AddrMapper{
+	*m = AddrMapper{
 		g:        g,
 		colBits:  uint(bits.Len(uint(rowBytes - 1))),
 		bankBits: uint(bits.TrailingZeros(uint(g.BanksPerRank))),
@@ -199,7 +209,8 @@ func NewAddrMapper(g Geometry) (*AddrMapper, error) {
 		colBytes: colBytes,
 		colShift: uint(bits.TrailingZeros(uint(colBytes))),
 		colPow2:  colBytes&(colBytes-1) == 0,
-	}, nil
+	}
+	return nil
 }
 
 // Geometry returns the mapper's geometry.

@@ -36,7 +36,13 @@ func channelsPlan(cfg ExpConfig, channels []int) (plan, error) {
 			if ch < 1 { // a cell's channel count 0 means a plain controller
 				return plan{}, fmt.Errorf("sim: channel count %d < 1", ch)
 			}
-			cells = append(cells, cell{cfg: mc, channels: ch, prof: p})
+			c := cell{cfg: mc, channels: ch, prof: p}
+			if ch == 1 {
+				// One channel stripes nothing: it is the plain controller,
+				// whose cell other experiments already run.
+				c.channels = 0
+			}
+			cells = append(cells, c)
 		}
 	}
 	return plan{cells, func(runs []*stats.Run) (any, string, error) {

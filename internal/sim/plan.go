@@ -24,16 +24,20 @@ type cell struct {
 	prof     workload.Profile
 }
 
-// cellKey is a cell's identity by value. The config's sub-configs are
+// cellKey is a cell's identity by behaviour. The config's sub-configs are
 // dereferenced, each with a presence bit, and its hooks (Probe, Events)
-// are left out, so two cells share a key exactly when they simulate the
-// same thing. Formatting a Config with %v would instead print its
-// pointers as addresses, which the GC reuses.
+// are left out; the refresh threshold is keyed as the candidate-bank count
+// the controller applies (RefreshConfig.CandidateBanks), so r_th values that
+// round to the same count share a key. Two cells share a key exactly when
+// they simulate the same thing, provided both configs validate: the key of
+// an invalid config may equal a valid one's. Formatting a Config with %v
+// would instead print its pointers as addresses, which the GC reuses.
 type cellKey struct {
 	geometry                               pcm.Geometry
 	timing                                 pcm.Timing
 	wom                                    memctrl.WOMConfig
 	refresh                                memctrl.RefreshConfig
+	candidateBanks                         int
 	cache                                  memctrl.CacheConfig
 	sched                                  memctrl.SchedConfig
 	hasWOM, hasRefresh, hasCache, hasSched bool
@@ -47,6 +51,10 @@ func (c cell) key() cellKey {
 		pausePenalty: c.cfg.PausePenalty, channels: c.channels, prof: c.prof}
 	k.wom, k.hasWOM = deref(c.cfg.WOM)
 	k.refresh, k.hasRefresh = deref(c.cfg.Refresh)
+	if k.hasRefresh {
+		k.candidateBanks = k.refresh.CandidateBanks(c.cfg.Geometry.BanksPerRank)
+		k.refresh.ThresholdPct = 0
+	}
 	k.cache, k.hasCache = deref(c.cfg.Cache)
 	k.sched, k.hasSched = deref(c.cfg.Sched)
 	return k
@@ -115,13 +123,18 @@ func runPlans(cfg ExpConfig, plans []plan, gen traceGen, dropped func()) ([]*Res
 }
 
 // runCells simulates each distinct cell once and returns runs parallel to
-// cells. Distinct cells are grouped by trace and dispatched group by group
-// through parMapCtx: a group's first cell generates its records with gen,
-// every cell replays them through its own source, and the last cell to
-// finish drops them (and calls dropped, when set). Since cells go out in
-// group order, at most cfg.Parallelism groups hold records at once, while
-// the cells of one group still run in parallel. The first failing cell
-// stops dispatch and its error is returned.
+// cells. Every cell's config is validated before it is keyed, so an invalid
+// config fails the run instead of sharing a valid cell's key. Distinct
+// cells are grouped by trace and dispatched group by group through
+// parMapCtx: a group's first cell generates its records with gen, every
+// cell replays them through its own source, and the last cell to finish
+// drops them (and calls dropped, when set). Since cells go out in group
+// order, at most cfg.Parallelism groups hold records at once, while the
+// cells of one group still run in parallel. Each cell borrows a controller
+// from a free list of at most cfg.Parallelism, resets it to its config and
+// returns it when done, so the run builds one controller per worker; the
+// list goes with the call. The first failing cell stops dispatch and its
+// error is returned.
 func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*stats.Run, error) {
 	type group struct {
 		once    sync.Once
@@ -137,6 +150,9 @@ func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*sta
 		members  [][]int // distinct cells per trace group, in first-use order
 	)
 	for i, c := range cells {
+		if err := c.cfg.Validate(); err != nil {
+			return nil, err
+		}
 		k := c.key()
 		j, ok := seen[k]
 		if !ok {
@@ -166,6 +182,9 @@ func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*sta
 	}
 
 	runs := make([]*stats.Run, len(distinct))
+	// free holds the controllers no cell is using; parMapCtx runs at most
+	// Parallelism cells at once, so a send never blocks.
+	free := make(chan *memctrl.Controller, max(cfg.Parallelism, 1))
 	err := parMapCtx(cfg.Ctx, len(order), cfg.Parallelism, func(i int) error {
 		j := order[i]
 		c, g := distinct[j], groupOf[j]
@@ -174,7 +193,14 @@ func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*sta
 		})
 		err := g.err
 		if err == nil {
-			runs[j], err = runCell(cfg.Ctx, c, trace.NewSliceSource(g.recs), "")
+			var ctrl *memctrl.Controller
+			select {
+			case ctrl = <-free:
+			default:
+				ctrl = new(memctrl.Controller)
+			}
+			runs[j], err = runCell(cfg.Ctx, c, trace.NewSliceSource(g.recs), "", ctrl)
+			free <- ctrl
 		}
 		if g.pending.Add(-1) == 0 && g.recs != nil {
 			g.recs = nil
@@ -196,8 +222,9 @@ func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*sta
 
 // runCell simulates c over src with the instruments ctx asks for attached
 // (see instrument; arch labels telemetry and is set by Replay only) and
-// labels the run with c's workload.
-func runCell(ctx context.Context, c cell, src trace.Source, arch string) (*stats.Run, error) {
+// labels the run with c's workload. A plain-controller cell runs on ctrl,
+// reset to its config; a multi-channel cell builds its own.
+func runCell(ctx context.Context, c cell, src trace.Source, arch string, ctrl *memctrl.Controller) (*stats.Run, error) {
 	cfg := c.cfg
 	report := instrument(ctx, &cfg, arch)
 	var (
@@ -207,7 +234,7 @@ func runCell(ctx context.Context, c cell, src trace.Source, arch string) (*stats
 		err error
 	)
 	if c.channels == 0 {
-		sys, err = memctrl.New(cfg)
+		sys, err = ctrl, ctrl.Reset(cfg)
 	} else {
 		// The channels of one MultiChannel run one after another, so they
 		// can share one probe.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,14 +116,15 @@ func TestRunPlansStopsOnError(t *testing.T) {
 }
 
 // TestPlannedFigAllCounts: for qsort at 1000 requests, the ten experiments
-// run one by one make 42 simulations; planned together they make the 25
-// distinct ones over 4 generated traces. WithClassCounts reports once per
-// simulation actually run.
+// run one by one make 41 simulations; planned together they make the 23
+// distinct ones over 4 generated traces. rth's 0% and 5% thresholds are
+// one cell on 32 banks, and channels' 1-channel point is fig5's PCM-refresh
+// cell. WithClassCounts reports once per simulation actually run.
 func TestPlannedFigAllCounts(t *testing.T) {
 	params := Params{Requests: 1000, Bench: []string{"qsort"}}
 	var calls atomic.Int64
 	ctx := WithClassCounts(context.Background(), func([probe.NumWriteKinds]uint64) { calls.Add(1) })
-	alone := map[string]int64{"fig5": 4, "fig6": 4, "fig7": 4, "rth": 7, "org": 3,
+	alone := map[string]int64{"fig5": 4, "fig6": 4, "fig7": 4, "rth": 6, "org": 3,
 		"pausing": 3, "code": 5, "sched": 6, "hybrid": 3, "channels": 3}
 	var exps []Experiment
 	for _, name := range figAll {
@@ -143,8 +145,8 @@ func TestPlannedFigAllCounts(t *testing.T) {
 	if _, err := Run(ctx, params, exps...); err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Load(); got != 25 {
-		t.Errorf("planned -fig all: %d simulations, want 25", got)
+	if got := calls.Load(); got != 23 {
+		t.Errorf("planned -fig all: %d simulations, want 23", got)
 	}
 
 	cfg, plans := figAllPlans(t, params)
@@ -157,8 +159,9 @@ func TestPlannedFigAllCounts(t *testing.T) {
 	}
 }
 
-// TestCellKeyByValue: keys compare configs by value, never by pointer, and
-// ignore the instrumentation hooks.
+// TestCellKeyByValue: keys compare configs by value, never by pointer,
+// ignore the instrumentation hooks, and key the refresh threshold by the
+// candidate-bank count it resolves to.
 func TestCellKeyByValue(t *testing.T) {
 	cfg := ExpConfig{}.normalize()
 	a, b := cfg.baseline(), cfg.baseline()
@@ -177,6 +180,52 @@ func TestCellKeyByValue(t *testing.T) {
 	}
 	if (cell{cfg: wcpcm}).key() == (cell{cfg: wcpcm, channels: 1}).key() {
 		t.Error("a one-channel MultiChannel shares a plain controller's key")
+	}
+
+	refresh := func(pct float64) cellKey {
+		mc := cfg.baseline()
+		mc.WOM = memctrl.DefaultWOM()
+		mc.Refresh = &memctrl.RefreshConfig{ThresholdPct: pct, TableSize: 5}
+		return cell{cfg: mc}.key()
+	}
+	if cfg.Geometry.BanksPerRank != 32 {
+		t.Fatalf("default geometry has %d banks per rank, want 32", cfg.Geometry.BanksPerRank)
+	}
+	if refresh(0) != refresh(5) {
+		t.Error("r_th 0% and 5% need one bank each on 32 banks but got distinct keys")
+	}
+	if refresh(0) == refresh(10) {
+		t.Error("r_th 0% (one bank) and 10% (three banks) share a key")
+	}
+}
+
+// TestRthInvalidThresholdFails: a threshold above 100% fails the sweep with
+// the refresh-threshold error although it resolves to the same bank count
+// as 100%, and no trace is generated for the failed run.
+func TestRthInvalidThresholdFails(t *testing.T) {
+	exp, err := LookupExperiment("rth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := Params{Requests: 300, Bench: []string{"qsort"}, Thresholds: []float64{100, 101}}
+	if _, err := exp.Run(context.Background(), params); err == nil || !strings.Contains(err.Error(), "refresh threshold 101%") {
+		t.Fatalf("err = %v, want the refresh-threshold error for 101%%", err)
+	}
+	cfg, err := params.Config(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.normalize()
+	pl, err := exp.build(cfg, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g countingGen
+	if _, err := runPlans(cfg, []plan{pl}, g.gen, g.dropped); err == nil {
+		t.Fatal("runPlans accepted a 101% threshold")
+	}
+	if len(g.calls) != 0 {
+		t.Errorf("%d traces generated before the invalid threshold was rejected", len(g.calls))
 	}
 }
 

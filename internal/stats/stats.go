@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -23,9 +24,12 @@ type Latency struct {
 	Min   int64
 	Max   int64
 	// histogram of log2-spaced buckets: bucket i counts latencies in
-	// [2^i, 2^(i+1)). Bucket 0 also absorbs latency 0.
-	buckets [40]uint64
+	// [2^i, 2^(i+1)). Bucket 0 also absorbs latency 0, and the last bucket
+	// everything from 2^(numBuckets-1) up.
+	buckets [numBuckets]uint64
 }
+
+const numBuckets = 40
 
 // Observe records one latency sample.
 func (l *Latency) Observe(ns int64) {
@@ -40,11 +44,13 @@ func (l *Latency) Observe(ns int64) {
 	}
 	l.Count++
 	l.Sum += ns
-	b := 0
-	for v := ns; v > 1 && b < len(l.buckets)-1; v >>= 1 {
-		b++
-	}
-	l.buckets[b]++
+	l.buckets[bucketOf(ns)]++
+}
+
+// bucketOf returns the histogram bucket of a latency ns ≥ 0: ⌊log2 ns⌋,
+// with 0 and 1 in bucket 0 and everything from 2^39 up in the last bucket.
+func bucketOf(ns int64) int {
+	return min(max(bits.Len64(uint64(ns))-1, 0), numBuckets-1)
 }
 
 // Mean returns the average latency, or 0 with no samples.

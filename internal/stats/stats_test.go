@@ -37,6 +37,31 @@ func TestLatencyNegativeClamped(t *testing.T) {
 	}
 }
 
+// TestLatencyBucketMatchesLoop: bucketOf places every latency where the
+// halving loop it replaced did: 0 and 1 in bucket 0, ⌊log2 ns⌋ above, and
+// everything from 2^39 up in the last bucket.
+func TestLatencyBucketMatchesLoop(t *testing.T) {
+	loop := func(ns int64) int {
+		b := 0
+		for v := ns; v > 1 && b < numBuckets-1; v >>= 1 {
+			b++
+		}
+		return b
+	}
+	cases := []int64{0, 1, 2, 3, 1 << 39, 1 << 40, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		cases = append(cases, 1<<k-1, 1<<k)
+	}
+	for _, ns := range cases {
+		if got, want := bucketOf(ns), loop(ns); got != want {
+			t.Errorf("bucketOf(%d) = %d, want %d", ns, got, want)
+		}
+	}
+	if got := bucketOf(math.MaxInt64); got != numBuckets-1 {
+		t.Errorf("bucketOf(MaxInt64) = %d, want the last bucket %d", got, numBuckets-1)
+	}
+}
+
 func TestLatencyQuantile(t *testing.T) {
 	var l Latency
 	for i := 0; i < 99; i++ {

@@ -95,9 +95,17 @@ func (s *SliceSource) Next() (Record, bool) {
 // Err implements Source; a slice source never fails.
 func (*SliceSource) Err() error { return nil }
 
-// Collect drains a source into a slice, failing on a source error.
+// Len returns the number of records not yet yielded.
+func (s *SliceSource) Len() int { return len(s.recs) - s.pos }
+
+// Collect drains a source into a slice, failing on a source error. A source
+// with a Len method, such as a SliceSource, is collected into one slice of
+// that length.
 func Collect(src Source) ([]Record, error) {
 	var out []Record
+	if l, ok := src.(interface{ Len() int }); ok {
+		out = make([]Record, 0, l.Len())
+	}
 	for {
 		r, ok := src.Next()
 		if !ok {

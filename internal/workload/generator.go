@@ -200,9 +200,14 @@ func Generate(p Profile, g pcm.Geometry, seed int64, n int) ([]trace.Record, err
 	if err != nil {
 		return nil, err
 	}
-	recs, err := trace.Collect(trace.NewLimit(gen, n))
-	if err != nil {
-		return nil, err
+	recs := make([]trace.Record, max(n, 0))
+	for i := range recs {
+		rec, ok := gen.Next()
+		if !ok {
+			recs = recs[:i]
+			break
+		}
+		recs[i] = rec
 	}
 	if len(recs) != n {
 		return nil, fmt.Errorf("workload: generator yielded %d of %d records", len(recs), n)
