@@ -35,9 +35,11 @@ bench:
 # Probe overhead benchmarks: RunNilProbe is the zero-overhead baseline the
 # instrumentation contract promises (compare against Counter/Telemetry). The
 # event loop itself is allocation-free, so RunNilProbe's allocs/op counts
-# controller construction only.
+# controller construction only. ReplayTelemetry prices the telemetry plane
+# at the paper's geometry: a replay job's four runs without and with it.
 bench-probe:
 	$(GO) test -run=NONE -bench=Probe -benchmem ./internal/memctrl/
+	$(GO) test -run=NONE -bench=ReplayTelemetry -benchmem ./internal/sim/
 
 # End-to-end cluster check against real processes: coordinator + worker on
 # localhost, one job over the wire, asserted to have run on the worker.

@@ -17,7 +17,11 @@ func replayTrace(params sim.Params, path string) error {
 	if err != nil {
 		return err
 	}
-	recs, err := trace.CollectLimit(trace.NewAutoReader(f), 0)
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
+	recs, err := trace.CollectSized(f, size, 0)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -336,7 +336,7 @@ func (a *Agent) resolveTrace(ctx context.Context, coordID, label string) (string
 	if label == "" {
 		label = coordID
 	}
-	st, err := a.mgr.Traces().Put(label, resp.Body)
+	st, err := a.mgr.Traces().Put(label, resp.Body, resp.ContentLength)
 	if err != nil {
 		return "", err
 	}

@@ -175,7 +175,7 @@ func (tc *testCluster) putTrace(label string, recs []trace.Record) string {
 	if err := bw.Flush(); err != nil {
 		tc.t.Fatal(err)
 	}
-	st, err := tc.mgr.Traces().Put(label, &buf)
+	st, err := tc.mgr.Traces().Put(label, &buf, int64(buf.Len()))
 	if err != nil {
 		tc.t.Fatal(err)
 	}

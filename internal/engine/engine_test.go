@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -273,6 +274,53 @@ func TestTraceUploadAndReplay(t *testing.T) {
 	}
 }
 
+// TestTraceUploadPresized checks both upload framings end to end: a binary
+// body with a Content-Length is stored in one slice of exactly its record
+// count, and the same body sent chunked (length unknown) stores the same
+// records.
+func TestTraceUploadPresized(t *testing.T) {
+	mgr := New(Config{Workers: 1, QueueDepth: 1})
+	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	const n = 3000
+	var buf bytes.Buffer
+	w := trace.NewBinWriter(&buf)
+	for i := 0; i < n; i++ {
+		w.Write(trace.Record{Op: trace.Op(i % 2), Addr: uint64(i) * 64, Time: int64(i) * 50})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	upload := func(body io.Reader) *StoredTrace {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st StoredTrace
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload status %d (decode err %v)", resp.StatusCode, err)
+		}
+		stored, ok := mgr.Traces().Get(st.ID)
+		if !ok {
+			t.Fatalf("trace %s not stored", st.ID)
+		}
+		return stored
+	}
+	sized := upload(bytes.NewReader(buf.Bytes()))
+	if recs := sized.Records(); len(recs) != n || cap(recs) != n {
+		t.Errorf("sized upload: len %d cap %d, want both %d", len(recs), cap(recs), n)
+	}
+	// io.MultiReader hides the length, so the client sends it chunked.
+	chunked := upload(io.MultiReader(bytes.NewReader(buf.Bytes())))
+	if !reflect.DeepEqual(chunked.Records(), sized.Records()) {
+		t.Errorf("chunked upload stored %d records, sized %d", chunked.Count, sized.Count)
+	}
+}
+
 // TestAdmissionControl fills the queue behind a single busy worker and
 // checks the 429 + metrics path, then cancellation of a queued job.
 func TestAdmissionControl(t *testing.T) {
@@ -495,20 +543,20 @@ func TestStoreBounds(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("big", bytes.NewReader(buf.Bytes())); !errors.Is(err, trace.ErrTooLong) {
+	if _, err := s.Put("big", bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, trace.ErrTooLong) {
 		t.Errorf("oversized upload = %v", err)
 	}
 	small := "R 0x40 100\nW 0x80 160\n"
-	if _, err := s.Put("a", strings.NewReader(small)); err != nil {
+	if _, err := s.Put("a", strings.NewReader(small), -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("b", strings.NewReader(small)); !errors.Is(err, ErrStoreFull) {
+	if _, err := s.Put("b", strings.NewReader(small), -1); !errors.Is(err, ErrStoreFull) {
 		t.Errorf("store overflow = %v", err)
 	}
-	if _, err := s.Put("empty", strings.NewReader("# nothing\n")); err == nil {
+	if _, err := s.Put("empty", strings.NewReader("# nothing\n"), -1); err == nil {
 		t.Error("empty upload accepted")
 	}
-	if _, err := s.Put("unordered", strings.NewReader("R 0x40 100\nR 0x80 50\n")); err == nil {
+	if _, err := s.Put("unordered", strings.NewReader("R 0x40 100\nR 0x80 50\n"), -1); err == nil {
 		t.Error("time-unordered upload accepted")
 	}
 	if got := len(s.List()); got != 1 {

@@ -396,7 +396,7 @@ func (j *Job) reportProgress(done, total int64) {
 			break
 		}
 	}
-	j.hub.publish("progress", j.Progress())
+	publish(j.hub, "progress", j.Progress())
 }
 
 // addClassCounts folds one finished simulation's write-class totals into

@@ -751,7 +751,7 @@ func (m *Manager) jobContext(ctx context.Context, job *Job) context.Context {
 	ctx = sim.WithProgress(ctx, job.reportProgress)
 	if hub := job.hub; hub != nil {
 		ctx = sim.WithTelemetry(ctx, func(arch string, w telemetry.Window) {
-			hub.publish("window", streamWindow{Arch: arch, Window: w})
+			publish(hub, "window", streamWindow{Arch: arch, Window: w})
 		}, 0)
 	}
 	ctx = sim.WithClassCounts(ctx, func(counts [probe.NumWriteKinds]uint64) {

@@ -505,7 +505,7 @@ func (s *Server) deleteJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) uploadTrace(w http.ResponseWriter, r *http.Request) {
-	st, err := s.m.Traces().Put(r.URL.Query().Get("label"), r.Body)
+	st, err := s.m.Traces().Put(r.URL.Query().Get("label"), r.Body, r.ContentLength)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -59,15 +59,29 @@ func newStreamHub(metrics *Metrics) *streamHub {
 	return &streamHub{metrics: metrics, subs: make(map[*streamSub]struct{})}
 }
 
-// publish marshals v once and offers the event to every subscriber,
-// dropping per-subscriber on a full buffer. Marshal failures are dropped
-// silently — payloads are this package's own types.
-func (h *streamHub) publish(name string, v any) {
+// publish marshals v once and offers the event to every subscriber of h,
+// dropping per-subscriber on a full buffer. A hub with no subscriber, or a
+// closed one, skips the marshal, so an unwatched job publishes without
+// allocating (v is generic rather than any for the same reason: boxing it
+// would allocate at the call). Marshal failures are dropped silently —
+// payloads are this package's own types.
+func publish[T any](h *streamHub, name string, v T) {
+	if !h.watched() {
+		return
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
 	h.publishRaw(name, data)
+}
+
+// watched reports whether an event published now could reach a
+// subscriber: the hub is open and has at least one.
+func (h *streamHub) watched() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return !h.closed && len(h.subs) > 0
 }
 
 // publishRaw offers an already-marshaled event to every subscriber —

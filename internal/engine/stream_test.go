@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"womcpcm/internal/sim"
+	"womcpcm/internal/telemetry"
 )
 
 // sseEvent is one parsed Server-Sent-Events frame.
@@ -205,7 +207,7 @@ func TestStreamDropAccounting(t *testing.T) {
 	go func() {
 		defer close(donech)
 		for i := 0; i < total; i++ {
-			hub.publish("progress", ProgressView{Done: int64(i)})
+			publish(hub, "progress", ProgressView{Done: int64(i)})
 		}
 	}()
 	select {
@@ -247,7 +249,55 @@ func TestStreamHubCloseIdempotent(t *testing.T) {
 		t.Error("late subscriber channel open on closed hub")
 	}
 	// Publishing to a closed hub is a no-op.
-	hub.publish("progress", ProgressView{})
+	publish(hub, "progress", ProgressView{})
 	var nilHub *streamHub
 	nilHub.close() // nil-safe
+}
+
+// TestStreamPublishFrames checks that a subscriber receives exactly the
+// bytes json.Marshal gives for each published payload.
+func TestStreamPublishFrames(t *testing.T) {
+	hub := newStreamHub(NewMetrics())
+	sub, cancel := hub.subscribe()
+	defer cancel()
+	win := streamWindow{Arch: "WOM-code PCM", Window: telemetry.Window{
+		Index: 3, StartNs: 300_000, EndNs: 400_000, BusyNs: 12345,
+		Writes: telemetry.WriteMix{First: 1, Alpha: 2}, Utilization: 0.25, EnergyPJ: 1.5,
+	}}
+	prog := ProgressView{Done: 7, Total: 10}
+	publish(hub, "window", win)
+	publish(hub, "progress", prog)
+	for _, want := range []struct {
+		name string
+		v    any
+	}{{"window", win}, {"progress", prog}} {
+		data, err := json.Marshal(want.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := <-sub.ch
+		if ev.Name != want.name || !bytes.Equal(ev.Data, data) {
+			t.Errorf("frame %q = %s, want %q = %s", ev.Name, ev.Data, want.name, data)
+		}
+	}
+}
+
+// TestStreamPublishUnwatchedAllocs pins the unwatched path: publishing on a
+// hub with no subscriber, or a closed one, marshals nothing and allocates
+// nothing.
+func TestStreamPublishUnwatchedAllocs(t *testing.T) {
+	hub := newStreamHub(NewMetrics())
+	win := streamWindow{Arch: "PCM-refresh", Window: telemetry.Window{Index: 1, BusyNs: 99}}
+	if allocs := testing.AllocsPerRun(100, func() { publish(hub, "window", win) }); allocs != 0 {
+		t.Errorf("publish without subscribers allocates %v times, want 0", allocs)
+	}
+	_, cancel := hub.subscribe()
+	cancel()
+	if allocs := testing.AllocsPerRun(100, func() { publish(hub, "window", win) }); allocs != 0 {
+		t.Errorf("publish after the last subscriber left allocates %v times, want 0", allocs)
+	}
+	hub.close()
+	if allocs := testing.AllocsPerRun(100, func() { publish(hub, "progress", ProgressView{Done: 1}) }); allocs != 0 {
+		t.Errorf("publish on a closed hub allocates %v times, want 0", allocs)
+	}
 }

@@ -49,10 +49,13 @@ func NewTraceStore(maxRecords, maxTraces int) *TraceStore {
 var ErrStoreFull = fmt.Errorf("engine: trace store full")
 
 // Put decodes one upload (binary or text format, auto-detected) as a
-// stream, validates time ordering, and stores it under a fresh id.
-// Malformed or oversized input returns an error without storing anything.
-func (s *TraceStore) Put(label string, r io.Reader) (*StoredTrace, error) {
-	recs, err := trace.CollectLimit(trace.NewAutoReader(r), s.maxRecords)
+// stream, validates time ordering, and stores it under a fresh id. size is
+// the body's length in bytes, or -1 when unknown (a chunked request): a
+// binary upload of known size decodes into one slice presized from it,
+// capped at the store's record bound (trace.CollectSized). Malformed or
+// oversized input returns an error without storing anything.
+func (s *TraceStore) Put(label string, r io.Reader, size int64) (*StoredTrace, error) {
+	recs, err := trace.CollectSized(r, size, s.maxRecords)
 	if err != nil {
 		return nil, err
 	}

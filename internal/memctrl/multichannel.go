@@ -30,13 +30,29 @@ const lineShift = 6
 // NewMultiChannel builds an n-channel system; each channel gets cfg's full
 // geometry. n must be a power of two.
 func NewMultiChannel(cfg Config, n int) (*MultiChannel, error) {
-	if n < 1 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("memctrl: channel count must be a positive power of two, got %d", n)
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := validateChannels(cfg, n); err != nil {
 		return nil, err
 	}
 	return &MultiChannel{cfg: cfg, channels: n, ctrl: new(Controller)}, nil
+}
+
+func validateChannels(cfg Config, n int) error {
+	if n < 1 || n&(n-1) != 0 {
+		return fmt.Errorf("memctrl: channel count must be a positive power of two, got %d", n)
+	}
+	return cfg.Validate()
+}
+
+// RunChannels is NewMultiChannel(cfg, n).Run for a caller that owns a
+// controller and holds the records: the channels run one after another on
+// ctrl, Reset to cfg before each, and recs is read in place, not copied.
+// The result is bit-identical to MultiChannel.Run's.
+func RunChannels(ctrl *Controller, cfg Config, n int, recs []trace.Record) (*stats.Run, error) {
+	if err := validateChannels(cfg, n); err != nil {
+		return nil, err
+	}
+	m := MultiChannel{cfg: cfg, channels: n, ctrl: ctrl}
+	return m.run(recs)
 }
 
 // Channels returns the channel count.
@@ -63,6 +79,10 @@ func (m *MultiChannel) Run(src trace.Source) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.run(recs)
+}
+
+func (m *MultiChannel) run(recs []trace.Record) (*stats.Run, error) {
 	var merged *stats.Run
 	for ch := 0; ch < m.channels; ch++ {
 		if err := m.ctrl.Reset(m.cfg); err != nil {

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -178,5 +179,51 @@ func TestMultiChannelMergesEvents(t *testing.T) {
 	}
 	if got := uint64(shared.Load()); got != merged.Events {
 		t.Errorf("shared Config.Events = %d, merged Events = %d", got, merged.Events)
+	}
+}
+
+// TestRunChannelsOnBorrowedController: RunChannels on a controller that
+// last ran another architecture gives MultiChannel.Run's result exactly,
+// reads the records without changing them, and rejects a bad channel count.
+func TestRunChannelsOnBorrowedController(t *testing.T) {
+	p, err := workload.ProfileByName("qsort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := workload.Generate(p, testGeometry(), 23, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]trace.Record(nil), recs...)
+	ctrl, err := New(testConfig(nil, nil, DefaultCache()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctrl.Run(trace.NewSliceSource(recs)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(DefaultWOM(), DefaultRefresh(), nil)
+	for _, n := range []int{2, 4} {
+		mc, err := NewMultiChannel(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mc.Run(trace.NewSliceSource(recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunChannels(ctrl, cfg, n, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d channels: RunChannels on a borrowed controller differs from MultiChannel.Run", n)
+		}
+	}
+	if !reflect.DeepEqual(recs, orig) {
+		t.Error("RunChannels changed the records it read")
+	}
+	if _, err := RunChannels(ctrl, cfg, 3, recs); err == nil {
+		t.Error("RunChannels accepted 3 channels")
 	}
 }

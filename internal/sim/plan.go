@@ -199,7 +199,7 @@ func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*sta
 			default:
 				ctrl = new(memctrl.Controller)
 			}
-			runs[j], err = runCell(cfg.Ctx, c, trace.NewSliceSource(g.recs), "", ctrl)
+			runs[j], err = runCell(cfg.Ctx, c, g.recs, nil, "", ctrl)
 			free <- ctrl
 		}
 		if g.pending.Add(-1) == 0 && g.recs != nil {
@@ -220,30 +220,31 @@ func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*sta
 	return out, nil
 }
 
-// runCell simulates c over src with the instruments ctx asks for attached
-// (see instrument; arch labels telemetry and is set by Replay only) and
-// labels the run with c's workload. A plain-controller cell runs on ctrl,
-// reset to its config; a multi-channel cell builds its own.
-func runCell(ctx context.Context, c cell, src trace.Source, arch string, ctrl *memctrl.Controller) (*stats.Run, error) {
+// runCell simulates c over recs on ctrl with the instruments ctx asks for
+// attached (see instrument; arch labels telemetry and is set by Replay only)
+// and labels the run with c's workload. A plain-controller cell resets ctrl
+// to its config and reads src, a source of recs (nil selects a plain slice
+// source; Replay counts progress through its own). A multi-channel cell
+// runs its channels one after another on ctrl (memctrl.RunChannels),
+// reading recs in place; since they run in turn, they share one probe.
+func runCell(ctx context.Context, c cell, recs []trace.Record, src trace.Source, arch string, ctrl *memctrl.Controller) (*stats.Run, error) {
 	cfg := c.cfg
 	report := instrument(ctx, &cfg, arch)
 	var (
-		sys interface {
-			Run(trace.Source) (*stats.Run, error)
-		}
+		run *stats.Run
 		err error
 	)
 	if c.channels == 0 {
-		sys, err = ctrl, ctrl.Reset(cfg)
+		if src == nil {
+			src = trace.NewSliceSource(recs)
+		}
+		if err = ctrl.Reset(cfg); err != nil {
+			return nil, err
+		}
+		run, err = ctrl.Run(src)
 	} else {
-		// The channels of one MultiChannel run one after another, so they
-		// can share one probe.
-		sys, err = memctrl.NewMultiChannel(cfg, c.channels)
+		run, err = memctrl.RunChannels(ctrl, cfg, c.channels, recs)
 	}
-	if err != nil {
-		return nil, err
-	}
-	run, err := sys.Run(src)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s on %s: %w", cfg.ArchName(), c.prof.Name, err)
 	}

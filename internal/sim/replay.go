@@ -62,7 +62,7 @@ func Replay(cfg ExpConfig, label string, recs []trace.Record) (*ReplayResult, er
 			return err
 		}
 		src := newProgressSource(trace.NewSliceSource(recs), &done, total, progress)
-		res.Runs[i], err = runCell(cfg.Ctx, cell{cfg: mc, prof: workload.Profile{Name: label}}, src, arches[i].String(), new(memctrl.Controller))
+		res.Runs[i], err = runCell(cfg.Ctx, cell{cfg: mc, prof: workload.Profile{Name: label}}, recs, src, arches[i].String(), new(memctrl.Controller))
 		return err
 	}); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"womcpcm/internal/core"
+	"womcpcm/internal/pcm"
 	"womcpcm/internal/probe"
 	"womcpcm/internal/telemetry"
 	"womcpcm/internal/trace"
@@ -155,5 +156,42 @@ func TestRunArchClassCounts(t *testing.T) {
 				t.Error("no live simulator events counted")
 			}
 		})
+	}
+}
+
+// BenchmarkReplayTelemetry prices the telemetry plane where womd pays it: a
+// replay job's four simulations over a 50k-record FFT trace at the paper's
+// default geometry (16 ranks × 32 banks plus cache arrays), one worker,
+// without ("off") and with ("on") WithTelemetry. The gap between the two is
+// the enabled-path cost (make bench-probe).
+func BenchmarkReplayTelemetry(b *testing.B) {
+	p, err := workload.ProfileByName("FFT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs, err := workload.Generate(p, pcm.DefaultGeometry(), 1, 50_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	windows := 0
+	for _, bc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"off", context.Background()},
+		{"on", WithTelemetry(context.Background(), func(string, telemetry.Window) { windows++ }, 0)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := ExpConfig{Requests: len(recs), Parallelism: 1, Ctx: bc.ctx}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Replay(cfg, "bench", recs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	if windows == 0 {
+		b.Fatal("telemetry produced no windows")
 	}
 }

@@ -10,10 +10,11 @@
 // WCPCM hit rates shifting with working-set phase — instead of burying them
 // in one post-mortem number.
 //
-// A Collector subscribes to the probe bus (it implements probe.Sink); demand
-// latencies arrive there as probe.RequestDone events. Like the probe it feeds from, a Collector is owned by a single simulation
-// goroutine and is not safe for concurrent use; give every controller its
-// own and merge the resulting Series afterwards.
+// A Collector subscribes to the probe bus (it implements probe.Sink), and
+// demand latencies arrive there as probe.RequestDone events. Like the probe
+// it feeds from, a Collector is owned by a single simulation goroutine and
+// is not safe for concurrent use: give every controller its own and merge
+// the resulting Series afterwards.
 //
 // Window semantics: window k covers [k·W, (k+1)·W) in simulated nanoseconds,
 // so an event stamped exactly k·W lands in window k. Counts attribute to the
@@ -216,26 +217,100 @@ type Options struct {
 	OnWindow func(Window)
 }
 
-// acc accumulates one not-yet-finalized window.
+// acc accumulates one not-yet-finalized window. The collector's ring owns
+// its accumulators and resets them when their window finalizes, so a warm
+// collector records without allocating.
 type acc struct {
-	writes   WriteMix
-	refresh  RefreshActivity
-	cache    CacheActivity
-	busyNs   int64
-	bankBusy map[int]int64 // (rank<<16|bank+1) → busy ns, for MaxBankUtilization
+	// touched marks an accumulator some event landed in since its last
+	// reset; an untouched one finalizes as a zero window.
+	touched bool
+	writes  WriteMix
+	refresh RefreshActivity
+	cache   CacheActivity
+	busyNs  int64
+	// bankBusy[rank][bank+1] is the window's busy ns per resource (Bank is
+	// -1 for a rank's cache array). It grows on demand, dirty lists its
+	// nonzero slots as rank<<16 | bank+1 for the reset, and other holds the
+	// resources outside it (see addBusy). maxBusy is the largest share, for
+	// MaxBankUtilization.
+	bankBusy [][]int64
+	dirty    []int32
+	other    []keyBusy
+	maxBusy  int64
 	read     stats.Latency
 	write    stats.Latency
+}
+
+// keyBusy is one resource's busy ns, keyed rank<<16 | bank+1.
+type keyBusy struct {
+	key int
+	ns  int64
+}
+
+// maxDenseRanks bounds bankBusy's rank dimension, so an out-of-contract
+// rank cannot size it.
+const maxDenseRanks = 1 << 10
+
+// addBusy charges ns to the resource at (rank, bank). Resources are keyed
+// rank<<16 | bank+1 and the key splits back into a dense (key>>16,
+// key&0xffff) slot, so two events share a slot exactly when they share a
+// key; keys whose rank part falls outside [0, maxDenseRanks) go to other.
+func (a *acc) addBusy(rank, bank int, ns int64) {
+	key := rank<<16 | (bank + 1)
+	r, b := key>>16, key&0xffff
+	var busy *int64
+	if r < 0 || r >= maxDenseRanks {
+		for i := range a.other {
+			if a.other[i].key == key {
+				busy = &a.other[i].ns
+				break
+			}
+		}
+		if busy == nil {
+			a.other = append(a.other, keyBusy{key: key})
+			busy = &a.other[len(a.other)-1].ns
+		}
+	} else {
+		for len(a.bankBusy) <= r {
+			a.bankBusy = append(a.bankBusy, nil)
+		}
+		row := a.bankBusy[r]
+		if len(row) <= b {
+			row = append(row, make([]int64, b+1-len(row))...)
+			a.bankBusy[r] = row
+		}
+		busy = &row[b]
+		if *busy == 0 { // spans are positive, so 0 means untouched
+			a.dirty = append(a.dirty, int32(key))
+		}
+	}
+	*busy += ns
+	a.maxBusy = max(a.maxBusy, *busy)
+}
+
+// reset empties a for its next window, keeping its storage.
+func (a *acc) reset() {
+	for _, k := range a.dirty {
+		a.bankBusy[k>>16][k&0xffff] = 0
+	}
+	*a = acc{bankBusy: a.bankBusy, dirty: a.dirty[:0], other: a.other[:0]}
 }
 
 // Collector folds probe events and latency observations into windows. It is
 // single-goroutine, like the simulator feeding it.
 type Collector struct {
-	opts      Options
-	width     Clock
-	model     energy.Model
-	accs      map[int64]*acc
+	opts  Options
+	width Clock
+	model energy.Model
+	// wins is a ring (a slice-backed deque) of accumulators in which
+	// wins[(head+i)&(len(wins)-1)] holds window nextFinal+i. Its length is
+	// a power of two (or 0), and a nil slot is a window nothing has touched
+	// yet.
+	wins      []*acc
+	head      int
 	nextFinal int64 // lowest window index not yet finalized
 	maxIndex  int64 // highest window index touched
+	lastIndex int64 // window of the last timestamp index looked up
 	watermark Clock // highest event end time seen
 	late      uint64
 	done      []Window
@@ -254,7 +329,6 @@ func New(opts Options) *Collector {
 		opts:     opts,
 		width:    opts.WindowNs,
 		model:    model,
-		accs:     make(map[int64]*acc),
 		maxIndex: -1,
 	}
 }
@@ -268,20 +342,54 @@ func (c *Collector) at(t Clock) *acc {
 	if t < 0 {
 		t = 0
 	}
-	idx := t / c.width
+	return c.window(c.index(t))
+}
+
+// index returns the window containing t >= 0. Events arrive mostly in time
+// order, so it tries the last window it returned before dividing.
+func (c *Collector) index(t Clock) int64 {
+	if lo := c.lastIndex * c.width; t >= lo && t-lo < c.width {
+		return c.lastIndex
+	}
+	c.lastIndex = t / c.width
+	return c.lastIndex
+}
+
+// window returns the accumulator for window idx, or nil when it already
+// finalized (the event is tallied as late).
+func (c *Collector) window(idx int64) *acc {
 	if idx < c.nextFinal {
 		c.late++
 		return nil
 	}
-	a := c.accs[idx]
-	if a == nil {
-		a = &acc{}
-		c.accs[idx] = a
+	off := idx - c.nextFinal
+	if off >= int64(len(c.wins)) {
+		c.grow(off + 1)
 	}
+	slot := &c.wins[(c.head+int(off))&(len(c.wins)-1)]
+	if *slot == nil {
+		*slot = new(acc)
+	}
+	a := *slot
+	a.touched = true
 	if idx > c.maxIndex {
 		c.maxIndex = idx
 	}
 	return a
+}
+
+// grow resizes the ring to hold at least n windows from nextFinal on,
+// keeping each accumulator at its window's offset.
+func (c *Collector) grow(n int64) {
+	size := max(len(c.wins), 4)
+	for int64(size) < n {
+		size *= 2
+	}
+	wins := make([]*acc, size)
+	for i := range c.wins {
+		wins[i] = c.wins[(c.head+i)&(len(c.wins)-1)]
+	}
+	c.wins, c.head = wins, 0
 }
 
 // advance moves the high-water mark and finalizes every window whose end is
@@ -291,6 +399,11 @@ func (c *Collector) advance(end Clock) {
 		return
 	}
 	c.watermark = end
+	if end < (c.nextFinal+finalizeLagWindows+1)*c.width {
+		// Nothing new is safe, and the division is saved. Should the product
+		// overflow, the true bound is past any end, so either branch is right.
+		return
+	}
 	ready := end/c.width - finalizeLagWindows // windows strictly below are safe
 	for c.nextFinal < ready && c.nextFinal <= c.maxIndex {
 		c.finalize()
@@ -298,18 +411,19 @@ func (c *Collector) advance(end Clock) {
 }
 
 // finalize seals window c.nextFinal (empty windows included, keeping the
-// series dense) and hands it to OnWindow.
+// series dense), hands it to OnWindow and recycles its accumulator as the
+// ring's last slot.
 func (c *Collector) finalize() {
 	idx := c.nextFinal
+	a := c.wins[c.head]
 	c.nextFinal++
-	a := c.accs[idx]
-	delete(c.accs, idx)
+	c.head = (c.head + 1) & (len(c.wins) - 1)
 	w := Window{
 		Index:   idx,
 		StartNs: idx * c.width,
 		EndNs:   (idx + 1) * c.width,
 	}
-	if a != nil {
+	if a != nil && a.touched {
 		w.Writes = a.writes
 		w.Refresh = a.refresh
 		w.Cache = a.cache
@@ -317,16 +431,11 @@ func (c *Collector) finalize() {
 		if c.opts.Banks > 0 {
 			w.Utilization = float64(a.busyNs) / (float64(c.width) * float64(c.opts.Banks))
 		}
-		var maxBusy int64
-		for _, ns := range a.bankBusy {
-			if ns > maxBusy {
-				maxBusy = ns
-			}
-		}
-		w.MaxBankUtilization = float64(maxBusy) / float64(c.width)
 		w.Read = summarize(&a.read)
 		w.Write = summarize(&a.write)
+		w.MaxBankUtilization = float64(a.maxBusy) / float64(c.width)
 		w.EnergyPJ = c.price(a)
+		a.reset()
 	}
 	c.done = append(c.done, w)
 	if c.opts.OnWindow != nil {
@@ -410,23 +519,20 @@ func (c *Collector) span(ev probe.Event) {
 	if ev.Dur <= 0 {
 		return
 	}
-	key := ev.Rank<<16 | (ev.Bank + 1) // Bank is -1 for rank-wide resources
 	start, end := ev.Time, ev.Time+ev.Dur
 	if start < 0 {
 		start = 0
 	}
 	for t := start; t < end; {
-		winEnd := (t/c.width + 1) * c.width
+		idx := c.index(t)
+		winEnd := (idx + 1) * c.width
 		chunk := winEnd - t
 		if rest := end - t; rest < chunk {
 			chunk = rest
 		}
-		if a := c.at(t); a != nil {
+		if a := c.window(idx); a != nil {
 			a.busyNs += chunk
-			if a.bankBusy == nil {
-				a.bankBusy = make(map[int]int64)
-			}
-			a.bankBusy[key] += chunk
+			a.addBusy(ev.Rank, ev.Bank, chunk)
 		}
 		t = winEnd
 	}

@@ -1,6 +1,10 @@
 package telemetry
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"womcpcm/internal/energy"
@@ -260,5 +264,150 @@ func TestEmptyCollectorFinish(t *testing.T) {
 	s := New(Options{}).Finish("baseline", 0)
 	if len(s.Windows) != 0 || s.LateEvents != 0 {
 		t.Errorf("empty collector produced %+v", s)
+	}
+}
+
+// oracleStream is one seeded random event stream: mostly time-ordered with
+// the simulator's bounded reordering (spans reported at completion carrying
+// their start), plus the corner cases the windowing must agree on.
+type oracleStream struct {
+	name       string
+	width      Clock
+	ranks      int
+	banks      int
+	maxSpan    Clock // longest busy or refresh span
+	lateEvery  int   // every lateEvery-th event jumps far back (0: never)
+	negEvery   int   // every negEvery-th event has a negative time (0: never)
+	outOfRange bool  // also emit ranks and banks outside the probe contract
+	quiet      bool  // gaps of several windows between events
+	energy     *energy.Model
+	events     int
+}
+
+func (s oracleStream) generate(seed int64) []probe.Event {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]probe.Event, 0, s.events)
+	var now Clock
+	for i := 0; i < s.events; i++ {
+		if s.quiet {
+			now += rng.Int63n(4 * s.width)
+		} else {
+			now += rng.Int63n(s.width/4 + 1)
+		}
+		ev := probe.Event{
+			Time: now,
+			Kind: probe.Kind(rng.Intn(probe.NumKinds)),
+			Rank: rng.Intn(s.ranks),
+			Bank: rng.Intn(s.banks+1) - 1, // -1 is a rank's cache array
+			Row:  -1,
+		}
+		switch ev.Kind {
+		case probe.BankBusy, probe.RefreshPaused, probe.RefreshCompleted:
+			ev.Dur = rng.Int63n(s.maxSpan + 1)
+			ev.Time -= rng.Int63n(ev.Dur + 1) // reported at completion
+		case probe.RequestDone:
+			ev.Dur = rng.Int63n(4 * s.width)
+			ev.Time -= ev.Dur
+			ev.Read = rng.Intn(2) == 0
+		}
+		if s.lateEvery > 0 && i%s.lateEvery == s.lateEvery-1 {
+			ev.Time -= 5 * s.width
+		}
+		if s.negEvery > 0 && i%s.negEvery == s.negEvery-1 {
+			ev.Time = -rng.Int63n(2 * s.width)
+		}
+		if s.outOfRange && i%7 == 0 {
+			ev.Rank = rng.Intn(5) - 2
+			ev.Bank = rng.Intn(1<<17) - 3
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// TestCollectorMatchesMapOracle feeds the same seeded streams to the ring
+// collector and to the map-based oracle it replaced, and requires identical
+// OnWindow sequences and Series: spans crossing many windows, negative
+// times, cache arrays (Bank -1), late events, windows narrower than a span
+// and the paper's 16 ranks × 32 banks.
+func TestCollectorMatchesMapOracle(t *testing.T) {
+	streams := []oracleStream{
+		{name: "paper-geometry", width: DefaultWindowNs, ranks: 16, banks: 32, maxSpan: 4000, events: 20000},
+		{name: "long-spans", width: 1000, ranks: 2, banks: 4, maxSpan: 25_000, events: 5000},
+		{name: "narrow-windows", width: 10, ranks: 4, banks: 8, maxSpan: 400, lateEvery: 0, events: 5000},
+		{name: "late-events", width: 500, ranks: 4, banks: 8, maxSpan: 2000, lateEvery: 13, events: 5000},
+		{name: "negative-times", width: 700, ranks: 2, banks: 2, maxSpan: 1500, negEvery: 11, events: 3000},
+		{name: "out-of-contract", width: 300, ranks: 3, banks: 4, maxSpan: 900, outOfRange: true, events: 3000},
+		{name: "single-window", width: 1 << 40, ranks: 16, banks: 32, maxSpan: 4000, events: 2000},
+		// Quiet windows price at zero even when a price is infinite.
+		{name: "infinite-prices", width: 100, ranks: 2, banks: 2, maxSpan: 50, quiet: true, events: 2000,
+			energy: &energy.Model{RowRead: math.Inf(1), RowWriteFast: 1, RowWriteFull: math.Inf(1)}},
+	}
+	// %+v renders every float exactly and NaN equal to itself.
+	same := func(a, b any) bool {
+		return reflect.DeepEqual(a, b) || fmt.Sprintf("%+v", a) == fmt.Sprintf("%+v", b)
+	}
+	for _, s := range streams {
+		for seed := int64(1); seed <= 3; seed++ {
+			evs := s.generate(seed)
+			var gotWins, wantWins []Window
+			opts := Options{WindowNs: s.width, Banks: s.ranks * (s.banks + 1), Energy: s.energy}
+			opts.OnWindow = func(w Window) { gotWins = append(gotWins, w) }
+			c := New(opts)
+			opts.OnWindow = func(w Window) { wantWins = append(wantWins, w) }
+			o := newMapCollector(opts)
+			for i, ev := range evs {
+				c.Record(ev)
+				o.Record(ev)
+				if len(gotWins) != len(wantWins) {
+					t.Fatalf("%s seed %d: after event %d (%+v) %d windows streamed, oracle %d",
+						s.name, seed, i, ev, len(gotWins), len(wantWins))
+				}
+			}
+			got, want := c.Finish("a", 42), o.Finish("a", 42)
+			if !same(gotWins, wantWins) {
+				t.Errorf("%s seed %d: OnWindow sequences differ", s.name, seed)
+			}
+			if !same(got, want) {
+				for i := range want.Windows {
+					if i < len(got.Windows) && !same(got.Windows[i], want.Windows[i]) {
+						t.Errorf("%s seed %d: window %d\n got %+v\nwant %+v", s.name, seed, i, got.Windows[i], want.Windows[i])
+						break
+					}
+				}
+				t.Fatalf("%s seed %d: series differ (%d vs %d windows, late %d vs %d)",
+					s.name, seed, len(got.Windows), len(want.Windows), got.LateEvents, want.LateEvents)
+			}
+			if s.lateEvery > 0 && got.LateEvents == 0 {
+				t.Errorf("%s seed %d: stream produced no late events", s.name, seed)
+			}
+		}
+	}
+}
+
+// TestCollectorRecordAllocs pins the warm collector's steady state: once its
+// ring and per-bank storage have grown, Record allocates nothing. The only
+// remaining allocation is the retained series' amortized doubling, which
+// AllocsPerRun's per-run average rounds away.
+func TestCollectorRecordAllocs(t *testing.T) {
+	const w = 1000
+	c := New(Options{WindowNs: w, Banks: 16 * 33, OnWindow: func(Window) {}})
+	var now Clock
+	step := func() {
+		// One window's worth of traffic at the paper's geometry.
+		for rank := 0; rank < 16; rank++ {
+			for bank := -1; bank < 32; bank++ {
+				c.Record(probe.Event{Time: now, Dur: 60, Kind: probe.BankBusy, Rank: rank, Bank: bank})
+			}
+			c.Record(probe.Event{Time: now, Kind: probe.WriteAlpha, Rank: rank, Bank: 0})
+			c.Record(probe.Event{Time: now, Dur: 150, Kind: probe.RequestDone, Read: rank%2 == 0})
+		}
+		now += w
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("warm Record allocates %v times per window of traffic, want 0", allocs)
 	}
 }

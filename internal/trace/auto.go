@@ -20,23 +20,36 @@ func NewAutoReader(r io.Reader) Source {
 	return NewTextReader(br)
 }
 
-// ErrTooLong reports a stream that exceeds a CollectLimit bound.
+// ErrTooLong reports a stream that exceeds a CollectSized bound.
 var ErrTooLong = fmt.Errorf("trace: stream exceeds record limit")
 
-// CollectLimit drains a source into a slice, failing with ErrTooLong once
-// more than max records arrive (max <= 0 means unlimited). Services use it
-// to bound untrusted uploads without buffering unbounded input.
-func CollectLimit(src Source, max int) ([]Record, error) {
+// CollectSized drains r, binary or text (NewAutoReader), into a slice,
+// failing with ErrTooLong once more than max records arrive (max <= 0 means
+// unlimited). Services use the bound on untrusted uploads without
+// buffering unbounded input. size is r's length in bytes, or -1 when
+// unknown: a binary stream of known size decodes into one slice allocated
+// up front for its (size-8)/17 records, capped at max when max > 0. Text
+// streams and streams of unknown size grow as they arrive, and a stream
+// shorter than size yields exactly its records.
+func CollectSized(r io.Reader, size int64, max int) ([]Record, error) {
+	src := NewAutoReader(r)
 	var out []Record
+	if _, bin := src.(*BinReader); bin && size > binHeaderSize {
+		n := (size - binHeaderSize) / binRecordSize
+		if max > 0 && n > int64(max) {
+			n = int64(max)
+		}
+		out = make([]Record, 0, n)
+	}
 	for {
-		r, ok := src.Next()
+		rec, ok := src.Next()
 		if !ok {
 			break
 		}
 		if max > 0 && len(out) >= max {
 			return nil, fmt.Errorf("%w (max %d)", ErrTooLong, max)
 		}
-		out = append(out, r)
+		out = append(out, rec)
 	}
 	return out, src.Err()
 }

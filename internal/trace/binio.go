@@ -19,7 +19,10 @@ var binMagic = [4]byte{'W', 'O', 'M', 'T'}
 // binVersion is the current binary trace version.
 const binVersion = 1
 
-const binRecordSize = 17
+const (
+	binHeaderSize = 8
+	binRecordSize = 17
+)
 
 // ErrBadMagic indicates the stream is not a binary trace.
 var ErrBadMagic = errors.New("trace: bad binary trace magic")
@@ -38,7 +41,7 @@ func NewBinWriter(w io.Writer) *BinWriter {
 }
 
 func (b *BinWriter) writeHeader() {
-	var h [8]byte
+	var h [binHeaderSize]byte
 	copy(h[:4], binMagic[:])
 	h[4] = binVersion
 	_, b.err = b.w.Write(h[:])
@@ -89,6 +92,9 @@ type BinReader struct {
 	r      *bufio.Reader
 	err    error
 	header bool
+	// buf receives one record. A local array would escape through the
+	// io.Reader that ReadFull takes and cost an allocation per record.
+	buf [binRecordSize]byte
 }
 
 // NewBinReader wraps r.
@@ -97,7 +103,7 @@ func NewBinReader(r io.Reader) *BinReader {
 }
 
 func (b *BinReader) readHeader() {
-	var h [8]byte
+	var h [binHeaderSize]byte
 	if _, err := io.ReadFull(b.r, h[:]); err != nil {
 		b.err = fmt.Errorf("trace: reading header: %w", err)
 		return
@@ -124,8 +130,8 @@ func (b *BinReader) Next() (Record, bool) {
 			return Record{}, false
 		}
 	}
-	var buf [binRecordSize]byte
-	if _, err := io.ReadFull(b.r, buf[:]); err != nil {
+	buf := b.buf[:]
+	if _, err := io.ReadFull(b.r, buf); err != nil {
 		if !errors.Is(err, io.EOF) {
 			b.err = fmt.Errorf("trace: reading record: %w", err)
 		}

@@ -28,7 +28,7 @@ func FuzzTrace(f *testing.F) {
 	f.Add([]byte("R 0x1f40 notatime\n"))                       // malformed text
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := CollectLimit(NewAutoReader(bytes.NewReader(data)), 1<<16)
+		recs, err := CollectSized(bytes.NewReader(data), int64(len(data)), 1<<16)
 		if err != nil {
 			return // malformed input must error, not panic
 		}

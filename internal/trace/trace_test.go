@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -215,5 +216,109 @@ func TestBinQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// binTrace encodes n records in the binary format.
+func binTrace(t *testing.T, n int) ([]Record, []byte) {
+	t.Helper()
+	recs := make([]Record, n)
+	var buf bytes.Buffer
+	w := NewBinWriter(&buf)
+	for i := range recs {
+		recs[i] = Record{Op: Op(i % 2), Addr: uint64(i) * 64, Time: int64(i) * 10}
+		w.Write(recs[i])
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return recs, buf.Bytes()
+}
+
+// TestCollectSizedPresizes checks the upload path's capacity: a binary
+// stream of known size decodes into exactly one slice of its record count,
+// a size claiming more than max allocates at most max, and a stream shorter
+// than its size yields exactly its records.
+func TestCollectSizedPresizes(t *testing.T) {
+	const n = 1000
+	recs, bin := binTrace(t, n)
+	got, err := CollectSized(bytes.NewReader(bin), int64(len(bin)), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n || cap(got) != n || !reflect.DeepEqual(got, recs) {
+		t.Errorf("exact size: len %d cap %d, want %d records in a slice of cap %d", len(got), cap(got), n, n)
+	}
+	// A size hint past max (a lying Content-Length) allocates at most max.
+	got, err = CollectSized(bytes.NewReader(bin), 1<<40, 2*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n || cap(got) > 2*n || !reflect.DeepEqual(got, recs) {
+		t.Errorf("oversized hint: len %d cap %d, want %d records and cap <= %d", len(got), cap(got), n, 2*n)
+	}
+	// A body shorter than its hint yields exactly its records.
+	got, err = CollectSized(bytes.NewReader(bin), int64(len(bin))*3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Errorf("short body: got %d records, want %d", len(got), n)
+	}
+	// More records than max still fail, presized or not.
+	for _, size := range []int64{int64(len(bin)), -1} {
+		if _, err := CollectSized(bytes.NewReader(bin), size, n-1); !errors.Is(err, ErrTooLong) {
+			t.Errorf("size %d: over-limit stream = %v, want ErrTooLong", size, err)
+		}
+	}
+	if _, err := CollectSized(bytes.NewReader(bin), int64(len(bin)), n); err != nil {
+		t.Errorf("stream of exactly max records = %v", err)
+	}
+}
+
+// TestCollectSizedGrowsAsBefore checks that text streams and streams of
+// unknown size (a chunked upload) decode exactly as an unsized Collect over
+// NewAutoReader does.
+func TestCollectSizedGrowsAsBefore(t *testing.T) {
+	recs, bin := binTrace(t, 300)
+	var text bytes.Buffer
+	tw := NewTextWriter(&text)
+	for _, r := range recs {
+		tw.Write(r)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		body []byte
+		size int64
+	}{
+		{"binary-chunked", bin, -1},
+		{"text", text.Bytes(), int64(text.Len())},
+		{"text-chunked", text.Bytes(), -1},
+		{"header-only", bin[:binHeaderSize], binHeaderSize},
+		{"malformed", append(bin[:binHeaderSize:binHeaderSize], 7, 1, 2), binHeaderSize + 3},
+	}
+	for _, c := range cases {
+		want, wantErr := Collect(NewAutoReader(bytes.NewReader(c.body)))
+		got, err := CollectSized(bytes.NewReader(c.body), c.size, 1000)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("%s: got %d records (err %v), want %d (err %v)", c.name, len(got), err, len(want), wantErr)
+		}
+	}
+}
+
+// TestCollectSizedAllocs pins the decode cost: a presized binary upload
+// allocates its readers and one record slice, nothing per record.
+func TestCollectSizedAllocs(t *testing.T) {
+	_, bin := binTrace(t, 5000)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := CollectSized(bytes.NewReader(bin), int64(len(bin)), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("decoding 5000 records allocates %v times, want a constant handful", allocs)
 	}
 }
