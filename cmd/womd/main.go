@@ -23,7 +23,7 @@
 // runtime/metrics poller exports womd_runtime_* families (-runtime-metrics
 // interval, 0 disables; -no-perf disables per-job accounting). With
 // -profile-dir DIR a monitor goroutine captures CPU+heap pprof profiles
-// from jobs that fall behind the fleet or near their deadline, served under
+// from jobs that fall behind their peers or near their deadline, served under
 // /v1/jobs/{id}/profiles.
 //
 // Logs are structured (log/slog): every HTTP request gets an id — honoring
@@ -31,29 +31,22 @@
 // started, and finished lines, so one grep reconstructs a request's whole
 // lifecycle. -debug additionally mounts net/http/pprof under /debug/pprof/.
 //
-// Distributed tracing is on by default: every job starts (or, given a
+// Job tracing is on by default: every job starts (or, given a
 // client traceparent header, continues) a W3C trace whose spans — admission,
-// queue wait, dispatch, worker execution, result store, SSE fan-out — land
-// in a bounded in-process buffer (-trace-spans capacity, -trace-sample head
-// sampling). GET /v1/jobs/{id}/trace serves a job's merged trace as Chrome
-// trace-event JSON (openable in Perfetto, rendered by `womtool spans`); in a
-// cluster the workers ship their spans back so the coordinator's endpoint
-// shows the whole cross-process timeline. A coordinator additionally
-// federates its workers' /metrics into womd_fleet_* families (instance
-// label per worker, -cluster-federate interval) and summarizes fleet load
-// on GET /v1/fleet.
+// queue wait, execution, result store, SSE fan-out — land in a bounded
+// in-process buffer (-trace-spans capacity, -trace-sample head sampling).
+// GET /v1/jobs/{id}/trace serves a job's trace as Chrome trace-event JSON
+// (openable in Perfetto, rendered by `womtool spans`).
 //
 // An SLO/health alerting engine (-alerts, on by default) continuously
 // evaluates error-budget burn-rate rules over the scheduler's windowed
-// attainment, plus structural rules: queue saturation, shed rate, stale
-// worker heartbeats, federation scrape failures, and slow-job capture
-// frequency. Alerts move pending → firing → resolved with flap damping,
-// carry exemplar trace ids linking into /v1/jobs/{id}/trace, and surface
-// on GET /v1/alerts and as womd_alert_* families on /metrics; -alert-rules
-// FILE replaces the built-in rules and is hot-reloaded on SIGHUP without
-// losing firing state. GET /readyz reports routing readiness — 503 while
-// draining or queue-saturated — and in a cluster each worker's readiness
-// rides its heartbeats so the coordinator routes around not-ready workers.
+// attainment, plus structural rules: queue saturation, shed rate, and
+// slow-job capture frequency. Alerts move pending → firing → resolved
+// with flap damping, carry exemplar trace ids linking into
+// /v1/jobs/{id}/trace, and surface on GET /v1/alerts and as womd_alert_*
+// families on /metrics; -alert-rules FILE replaces the built-in rules and
+// is hot-reloaded on SIGHUP without losing firing state. GET /readyz
+// reports routing readiness — 503 while draining or queue-saturated.
 //
 // Metric history is on by default (-history): an embedded TSDB records
 // every metric family /metrics serves each -history-scrape interval
@@ -69,20 +62,9 @@
 // of silently dropped. `womtool graph` and `womtool top` render this
 // history as inline-SVG dashboards and sparklines.
 //
-// The daemon also runs distributed (-role): a coordinator keeps this whole
-// API but dispatches jobs to registered workers over the /cluster/v1/ RPC
-// surface (internal/cluster), and a worker joins a coordinator's fleet,
-// executing dispatched jobs on its local pool and streaming events back.
-// -role standalone (the default) is the unchanged single-process path.
-//
 // Usage:
 //
 //	womd -addr :8080 -workers 4 -queue 64 -timeout 10m -cache /var/lib/womd
-//
-// Cluster (see README "Running a cluster"):
-//
-//	womd -role coordinator -addr :8080
-//	womd -role worker -addr :8081 -coordinator http://127.0.0.1:8080
 //
 // Quickstart:
 //
@@ -101,15 +83,12 @@ import (
 	"errors"
 	"flag"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
-	"womcpcm/internal/cluster"
 	"womcpcm/internal/engine"
 	"womcpcm/internal/health"
 	"womcpcm/internal/perfmon"
@@ -137,7 +116,7 @@ func main() {
 		pollEvery  = flag.Duration("runtime-metrics", perfmon.DefaultPollInterval, "runtime/metrics poll interval for womd_runtime_* gauges (0 = off)")
 		profileDir = flag.String("profile-dir", "", "directory for automatic slow-job pprof captures (empty = off)")
 		profileMax = flag.Int("profile-max", perfmon.DefaultMaxCaptures, "retained profile capture cap; oldest evicted past it")
-		slowFrac   = flag.Float64("slow-fraction", 0.25, "profile a job whose rolling events/sec falls below this fraction of the fleet median")
+		slowFrac   = flag.Float64("slow-fraction", 0.25, "profile a job whose rolling events/sec falls below this fraction of the running jobs' median")
 		deadFrac   = flag.Float64("deadline-fraction", 0.9, "profile a job that has consumed this fraction of its timeout")
 		monEvery   = flag.Duration("monitor-interval", 15*time.Second, "slow-job monitor pass interval")
 
@@ -151,17 +130,6 @@ func main() {
 		historyDir    = flag.String("history-dir", "", "history segment-log directory; empty keeps history in memory only (lost on restart)")
 		historyScrape = flag.Duration("history-scrape", 5*time.Second, "history self-scrape interval")
 		historyRet    = flag.String("history-retention", "", `history retention tiers as step=retention pairs, e.g. "raw=1h,1m=24h,10m=168h" (empty = built-in defaults)`)
-
-		role         = flag.String("role", "standalone", "process role: standalone, coordinator, or worker")
-		coordURL     = flag.String("coordinator", "", "coordinator base URL (worker role)")
-		advertise    = flag.String("advertise", "", "this worker's base URL as seen from the coordinator (worker role; default derived from -addr)")
-		clusterName  = flag.String("cluster-name", "", "worker display name in the fleet view (default the advertise URL)")
-		clusterBeat  = flag.Duration("cluster-heartbeat", 5*time.Second, "worker heartbeat interval")
-		evictAfter   = flag.Duration("cluster-evict-after", 15*time.Second, "heartbeat silence before a worker is evicted and its jobs requeued")
-		dispatchWait = flag.Duration("cluster-dispatch-wait", 2*time.Second, "how long a job waits for a worker to register before running locally")
-		rebalance    = flag.Duration("cluster-rebalance", 10*time.Second, "work-stealing rebalance pass interval")
-		stealMargin  = flag.Int("cluster-steal-margin", 2, "pending jobs above the fleet average before queued work is stolen back")
-		fedEvery     = flag.Duration("cluster-federate", 0, "fleet /metrics federation scrape interval (coordinator role; 0 = 2×heartbeat, negative disables)")
 	)
 	flag.Parse()
 
@@ -226,22 +194,10 @@ func main() {
 			"scrape", historyScrape.String(), "retention", *historyRet)
 	}
 
-	// Distributed tracing: one span recorder per process, shared by the
-	// engine (job lifecycle spans), the coordinator (dispatch spans, worker
-	// span merging), and the worker agent (span shipping). The service name
-	// labels which process recorded each span in a merged trace.
+	// Job tracing: one span recorder for the engine's job lifecycle spans.
 	var tracer *span.Recorder
 	if *traceSpans > 0 {
-		service := "womd"
-		switch *role {
-		case "coordinator":
-			service = "coordinator"
-		case "worker":
-			service = *clusterName
-			if service == "" {
-				service = "worker"
-			}
-		}
+		const service = "womd"
 		rate := *traceSample
 		if rate == 0 {
 			rate = -1 // flag 0 = record nothing (span.Config treats 0 as "everything")
@@ -249,28 +205,6 @@ func main() {
 		tracer = span.New(span.Config{Service: service, Capacity: *traceSpans, SampleRate: rate})
 		logger.Info("tracing enabled", "service", service,
 			"buffer", *traceSpans, "sample", *traceSample)
-	}
-
-	// Cluster roles: the coordinator installs its dispatcher as the engine's
-	// Execute hook (built first, manager attached after); a worker runs a
-	// plain local engine plus the agent that joins the coordinator's fleet.
-	var coord *cluster.Coordinator
-	switch *role {
-	case "standalone", "worker":
-	case "coordinator":
-		coord = cluster.NewCoordinator(cluster.Config{
-			Heartbeat:    *clusterBeat,
-			EvictAfter:   *evictAfter,
-			DispatchWait: *dispatchWait,
-			Rebalance:    *rebalance,
-			StealMargin:  *stealMargin,
-			Logger:       logger,
-			Tracer:       tracer,
-			Federate:     *fedEvery,
-		})
-	default:
-		logger.Error("unknown -role; want standalone, coordinator, or worker", "role", *role)
-		os.Exit(2)
 	}
 
 	cfg := engine.Config{
@@ -289,12 +223,9 @@ func main() {
 		Tracer:           tracer,
 		History:          histDB,
 	}
-	if coord != nil {
-		cfg.Execute = coord.Execute
-	}
 	// Alerting exemplars must be wired before the engine is built so job
 	// settles feed them; the health engine itself comes after the
-	// coordinator and scheduler exist, since its signals read both.
+	// scheduler exists, since its signals read it.
 	var exemplars *health.Exemplars
 	if *alerts {
 		exemplars = health.NewExemplars()
@@ -335,56 +266,11 @@ func main() {
 		}()
 	}
 	mgr := engine.New(cfg)
-	if coord != nil {
-		coord.AttachManager(mgr)
-		coord.Start()
-		logger.Info("coordinator role active", "heartbeat", clusterBeat.String(),
-			"evict_after", evictAfter.String())
-	}
-
-	var agent *cluster.Agent
-	if *role == "worker" {
-		if *coordURL == "" {
-			logger.Error("-role worker requires -coordinator URL")
-			os.Exit(2)
-		}
-		adv := *advertise
-		if adv == "" {
-			host, port, err := net.SplitHostPort(*addr)
-			if err != nil || port == "" {
-				logger.Error("cannot derive -advertise from -addr; pass -advertise explicitly", "addr", *addr)
-				os.Exit(2)
-			}
-			if host == "" || host == "::" || host == "0.0.0.0" {
-				host = "127.0.0.1"
-			}
-			adv = "http://" + net.JoinHostPort(host, port)
-		}
-		capacity := *workers
-		if capacity <= 0 {
-			capacity = runtime.GOMAXPROCS(0)
-		}
-		agent = cluster.NewAgent(cluster.AgentConfig{
-			Coordinator: *coordURL,
-			Advertise:   adv,
-			Name:        *clusterName,
-			Capacity:    capacity,
-			Heartbeat:   *clusterBeat,
-			Logger:      logger,
-			Tracer:      tracer,
-		}, mgr)
-		if err := agent.Start(); err != nil {
-			// Not fatal: the heartbeat loop keeps retrying, so workers may
-			// start before their coordinator.
-			logger.Warn("initial registration failed; will retry", "error", err.Error())
-		}
-	}
-
 	// SLO/health alerting: continuous rule evaluation over whichever signal
-	// planes this process has (engine queue always; scheduler tenants,
-	// fleet heartbeats, and federation when configured). GET /v1/alerts
-	// serves the alert set, womd_alert_* families land on /metrics, and
-	// SIGHUP re-reads -alert-rules without dropping firing state.
+	// planes this process has (engine queue always; scheduler tenants when
+	// configured). GET /v1/alerts serves the alert set, womd_alert_*
+	// families land on /metrics, and SIGHUP re-reads -alert-rules without
+	// dropping firing state.
 	var alertEngine *health.Engine
 	if *alerts {
 		rules := health.DefaultRules()
@@ -423,10 +309,6 @@ func main() {
 				return out
 			}
 			sig.TenantSLO = scheduler.WindowSLO
-		}
-		if coord != nil {
-			sig.Workers = coord.HealthWorkers
-			sig.ScrapeErrors = func() (uint64, bool) { return coord.FederationErrors(), true }
 		}
 		hcfg := health.Config{
 			Rules:     rules,
@@ -500,7 +382,7 @@ func main() {
 	}
 
 	// Collectors register in /metrics order: runtime, alerts, spans,
-	// cluster (with the federated fleet), tenants, history.
+	// tenants, history.
 	opts := []engine.ServerOption{engine.WithLogger(logger)}
 	if *pollEvery > 0 {
 		poller := perfmon.NewPoller(*pollEvery)
@@ -516,9 +398,6 @@ func main() {
 	if tracer != nil {
 		opts = append(opts, engine.WithCollector(tracer.Collect))
 	}
-	if coord != nil {
-		opts = append(opts, engine.WithCollector(coord.Collect))
-	}
 	if scheduler != nil {
 		opts = append(opts, engine.WithCollector(scheduler.Collect))
 	}
@@ -533,25 +412,13 @@ func main() {
 	}
 	apiServer := engine.NewServer(mgr, opts...)
 	// History records the server's own collected families — service
-	// counters plus every collector (cluster, fleet federation, alerts,
-	// the history store's own gauges) — so everything /metrics shows is
-	// also everything history records.
+	// counters plus every collector (alerts, the history store's own
+	// gauges) — so everything /metrics shows is also everything history
+	// records.
 	histDB.Start(apiServer.Collect)
-	var httpHandler http.Handler = apiServer
-	if coord != nil || agent != nil {
-		mux := http.NewServeMux()
-		if coord != nil {
-			mux.Handle("/cluster/v1/", coord.Handler())
-			mux.HandleFunc("GET /v1/fleet", coord.HandleFleet)
-		} else {
-			mux.Handle("/cluster/v1/", agent.Handler())
-		}
-		mux.Handle("/", httpHandler)
-		httpHandler = mux
-	}
 	srv := &http.Server{
 		Addr:        *addr,
-		Handler:     httpHandler,
+		Handler:     apiServer,
 		ReadTimeout: 5 * time.Minute, // trace uploads can be large
 	}
 
@@ -579,27 +446,10 @@ func main() {
 		"jobs_running", before.JobsRunning, "queue_depth", before.QueueDepth)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	var drainErr error
-	if agent != nil {
-		// Worker order matters: announce the drain (coordinator stops
-		// routing here and steals queued jobs), finish running jobs while
-		// the HTTP listener stays up so their event streams complete, then
-		// close the listener and the heartbeat loop.
-		agent.BeginDrain()
-		drainErr = mgr.Shutdown(drainCtx)
-		if err := srv.Shutdown(drainCtx); err != nil {
-			logger.Warn("http shutdown", "error", err)
-		}
-		agent.Stop()
-	} else {
-		if err := srv.Shutdown(drainCtx); err != nil {
-			logger.Warn("http shutdown", "error", err)
-		}
-		drainErr = mgr.Shutdown(drainCtx)
-		if coord != nil {
-			coord.Stop()
-		}
+	if err := srv.Shutdown(drainCtx); err != nil {
+		logger.Warn("http shutdown", "error", err)
 	}
+	drainErr := mgr.Shutdown(drainCtx)
 	after := mgr.Metrics().Snapshot()
 	logger.Info("drain finished",
 		"jobs_completed", after.JobsCompleted-before.JobsCompleted,

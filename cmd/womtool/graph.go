@@ -25,7 +25,6 @@ var graphDefaults = []string{
 	"womd_queue_depth",
 	"womd_jobs_running",
 	"womd_tenant_dequeued_total",
-	"womd_fleet_jobs_completed_total",
 }
 
 // graphChart is one fetched metric ready to render: one polyline per

@@ -76,13 +76,13 @@ func TestRenderGraphHTML(t *testing.T) {
 	}}
 	var b strings.Builder
 	renderGraphHTML(&b, "http://localhost:8080", base.Add(-time.Hour), base.Add(time.Minute),
-		charts, []string{"womd_fleet_jobs_completed_total"})
+		charts, []string{"womd_tenant_dequeued_total"})
 	out := b.String()
 	for _, want := range []string{
 		"<svg", "<polyline", "womd_jobs_completed_total",
 		"tenant=alpha", "agg=rate",
 		"tenant=&lt;batch&gt;", // label values are HTML-escaped
-		"No data: womd_fleet_jobs_completed_total",
+		"No data: womd_tenant_dequeued_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dashboard missing %q:\n%s", want, out)

@@ -15,9 +15,8 @@
 //	womtool regress -dir out/cache -tol 0.02 report v1  # per-metric deltas
 //	womtool regress -dir out/cache list            # pinned baselines
 //	womtool report series.json -o report.html      # render womsim -series output
-//	womtool loadgen -mix mix.json -o report.json   # open-loop load run against womd
 //	womtool spans trace.json -o trace.html         # render a womd job trace waterfall
-//	womtool top -url http://localhost:8080         # live ops dashboard: alerts, fleet, tenants
+//	womtool top -url http://localhost:8080         # live ops dashboard: alerts, tenants, history
 //	womtool graph -url http://localhost:8080 -o graphs.html  # metric-history dashboard (inline SVG)
 package main
 
@@ -49,8 +48,6 @@ func main() {
 		regress(os.Args[2:])
 	case "report":
 		report(os.Args[2:])
-	case "loadgen":
-		loadgenCmd(os.Args[2:])
 	case "spans":
 		spansCmd(os.Args[2:])
 	case "top":
@@ -63,7 +60,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: womtool table | verify | encode <2-bit values...> | bound <k...> | search <dataBits> <wits> | regress [-dir DIR] [-tol F] pin|report|list [name] | report <series.json> [-o report.html] | loadgen -mix MIX [-url URL] [-o REPORT] | spans <trace.json> [-o spans.html] | top [-url URL] [-interval D] [-once] [-html FILE] | graph [-url URL] [-metrics M[:agg],...] [-window D] [-o FILE]")
+	fmt.Fprintln(os.Stderr, "usage: womtool table | verify | encode <2-bit values...> | bound <k...> | search <dataBits> <wits> | regress [-dir DIR] [-tol F] pin|report|list [name] | report <series.json> [-o report.html] | spans <trace.json> [-o spans.html] | top [-url URL] [-interval D] [-once] [-html FILE] | graph [-url URL] [-metrics M[:agg],...] [-window D] [-o FILE]")
 	os.Exit(2)
 }
 

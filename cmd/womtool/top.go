@@ -12,20 +12,18 @@ import (
 	"strings"
 	"time"
 
-	"womcpcm/internal/cluster"
 	"womcpcm/internal/engine"
 	"womcpcm/internal/health"
 	"womcpcm/internal/sched"
 )
 
 // topSnapshot is one poll of a womd instance's ops surface. Sections the
-// target does not serve (no fleet on a standalone womd, no tenants without
-// -tenants, no alerts with -alerts=false) stay nil and render as absent
+// target does not serve (no tenants without -tenants, no alerts with
+// -alerts=false) stay nil and render as absent
 // rather than failing the whole frame.
 type topSnapshot struct {
 	At       time.Time
 	Ready    *engine.Readiness
-	Fleet    *cluster.FleetView
 	Tenants  []sched.TenantView
 	AlertsOn bool // /v1/alerts answered; a healthy empty list still counts
 	Alerts   []health.AlertView
@@ -42,9 +40,9 @@ type sparkline struct {
 	Points []float64
 }
 
-// topCmd drives `womtool top`: a live ops dashboard over GET /v1/fleet,
-// /v1/tenants, /v1/alerts, and /readyz — firing alerts first, then fleet
-// and tenant load, then ten-minute sparklines from the target's metric
+// topCmd drives `womtool top`: a live ops dashboard over GET /v1/tenants,
+// /v1/alerts, and /readyz — firing alerts first, then tenant load, then
+// ten-minute sparklines from the target's metric
 // history when it runs with -history. -once prints a single frame and
 // exits 2 if any alert is firing, so smoke tests and cron wrappers can
 // gate on the exit code; -html re-renders a self-refreshing HTML
@@ -128,10 +126,6 @@ func pollTop(client *http.Client, base string) topSnapshot {
 		resp.Body.Close()
 	}
 
-	var fleet cluster.FleetView
-	if topGet(client, base+"/v1/fleet", &fleet, &snap.Errs) {
-		snap.Fleet = &fleet
-	}
 	var tenants struct {
 		Tenants []sched.TenantView `json:"tenants"`
 	}
@@ -262,30 +256,6 @@ func renderTop(w io.Writer, snap topSnapshot) {
 			line += "  trace " + tid
 		}
 		fmt.Fprintln(w, line)
-	}
-
-	if snap.Fleet != nil {
-		t := snap.Fleet.Totals
-		ready := 0
-		for _, ws := range snap.Fleet.Workers {
-			if ws.Ready {
-				ready++
-			}
-		}
-		fmt.Fprintf(w, "\nFLEET   %d workers (%d ready)  queued %d  running %d  completed %d  failed %d  scrape_errors %d\n",
-			t.Workers, ready, t.QueueDepth, t.Running, t.Completed, t.Failed,
-			snap.Fleet.Federation.ScrapeErrors)
-		for _, ws := range snap.Fleet.Workers {
-			state := "ready"
-			switch {
-			case ws.Draining:
-				state = "draining"
-			case !ws.Ready:
-				state = "NOT READY"
-			}
-			fmt.Fprintf(w, "  %-6s %-16s %-9s hb %4dms  q %-4d run %-4d done %d\n",
-				ws.ID, ws.Name, state, ws.HeartbeatAgeMs, ws.QueueDepth, ws.Running, ws.Completed)
-		}
 	}
 
 	if snap.Tenants != nil {

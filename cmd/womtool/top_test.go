@@ -7,14 +7,13 @@ import (
 	"testing"
 	"time"
 
-	"womcpcm/internal/cluster"
 	"womcpcm/internal/engine"
 	"womcpcm/internal/health"
 	"womcpcm/internal/sched"
 )
 
-// fakeOpsServer serves canned /readyz, /v1/fleet, /v1/tenants, /v1/alerts
-// payloads — the coordinator surface `womtool top` polls.
+// fakeOpsServer serves canned /readyz, /v1/tenants, /v1/alerts payloads —
+// the ops surface `womtool top` polls.
 func fakeOpsServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -26,15 +25,6 @@ func fakeOpsServer(t *testing.T) *httptest.Server {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		write(w, http.StatusServiceUnavailable,
 			`{"ready":false,"reason":"queue saturated (58 of 64)","draining":false,"queue_depth":58,"queue_cap":64}`)
-	})
-	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		write(w, http.StatusOK, `{
-			"workers":[
-				{"id":"w-001","name":"alpha","addr":"http://a","capacity":2,"heartbeat_age_ms":120,"ready":true,"queue_depth":3,"running":2,"completed":41},
-				{"id":"w-002","name":"beta","addr":"http://b","capacity":2,"heartbeat_age_ms":90,"ready":false,"queue_depth":9,"running":2,"completed":17}
-			],
-			"totals":{"workers":2,"queue_depth":12,"running":4,"completed":58,"failed":1},
-			"federation":{"instances":2,"scrape_errors":3,"last_scrape_age_ms":200}}`)
 	})
 	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		write(w, http.StatusOK, `{"tenants":[
@@ -68,9 +58,6 @@ func TestTopPollAndRender(t *testing.T) {
 		"ALERTS  firing 1",
 		"FIRING   slo-burn-fast",
 		"trace 4bf92f3577b34da6a3ce929d0e0e4736",
-		"FLEET   2 workers (1 ready)",
-		"w-002  beta             NOT READY",
-		"scrape_errors 3",
 		"interactive    depth 7",
 		"slo 1m 0.910",
 	} {
@@ -102,8 +89,7 @@ func TestTopPollAndRender(t *testing.T) {
 	}
 }
 
-// TestTopDegradesGracefully: a plain standalone womd (no fleet, no tenants,
-// no alerts) still renders a frame instead of erroring out.
+// TestTopDegradesGracefully: a plain womd (no tenants, no alerts) still renders a frame instead of erroring out.
 func TestTopDegradesGracefully(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +105,7 @@ func TestTopDegradesGracefully(t *testing.T) {
 	if len(snap.Errs) != 0 {
 		t.Fatalf("poll errors: %v", snap.Errs)
 	}
-	if snap.Fleet != nil || snap.Tenants != nil || snap.Alerts != nil {
+	if snap.Tenants != nil || snap.Alerts != nil {
 		t.Fatalf("501 sections should be absent: %+v", snap)
 	}
 	var out strings.Builder
@@ -132,7 +118,6 @@ func TestTopDegradesGracefully(t *testing.T) {
 // Compile-time pin: the dashboard decodes into the server-side view types,
 // so a drifting field would fail here rather than silently render zeros.
 var (
-	_ = cluster.FleetView{}
 	_ = sched.TenantView{}
 	_ = health.AlertView{}
 	_ = engine.Readiness{}

@@ -1,50 +1,65 @@
-package health_test
+package engine
 
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"womcpcm/internal/engine"
 	"womcpcm/internal/health"
-	"womcpcm/internal/loadgen"
 	"womcpcm/internal/sched"
 	"womcpcm/internal/sim"
 	"womcpcm/internal/span"
 )
 
-// TestMMPPOverloadFiresFastBurnAlert is the burn-rate acceptance e2e: an
-// MMPP burst of interactive jobs whose queue wait blows the tenant deadline
-// fires the fast-burn alert (served over /v1/alerts, annotated with an
-// exemplar trace resolvable via the jobs API), and a calm recovery phase
-// that refills the error budget resolves it.
+// TestOverloadFiresFastBurnAlert is the burn-rate end-to-end check: a
+// burst of interactive jobs whose real queue wait blows the tenant's 50 ms
+// deadline fires the fast-burn alert (served over /v1/alerts, annotated
+// with an exemplar trace resolvable via the jobs API), and a recovery
+// phase of on-time jobs that refills the error budget resolves it.
 //
-// Timing is deterministic: each burst arrival back-dates its admission
-// past the deadline — the queue wait an open-loop overload would have
-// produced — so attainment does not depend on scheduler timing.
-func TestMMPPOverloadFiresFastBurnAlert(t *testing.T) {
+// Timing is deterministic: both workers are held by batch jobs while the
+// burst queues, and are released only after the deadline has passed, so
+// every burst job misses it; recovery jobs run one at a time on idle
+// workers, so each starts well inside it.
+func TestOverloadFiresFastBurnAlert(t *testing.T) {
+	const deadline = 50 * time.Millisecond
 	s := sched.New(sched.Config{
 		MaxDepth: 4096,
 		Tenants: []sched.TenantClass{
-			{Name: "interactive", Weight: 4, DeadlineMs: 50},
+			{Name: "interactive", Weight: 4, DeadlineMs: deadline.Milliseconds()},
 			{Name: "batch", Weight: 1},
 		},
 	})
 	ex := health.NewExemplars()
-	mgr := engine.New(engine.Config{
+	hold := make(chan struct{})
+	mgr := New(Config{
 		Workers:   2,
-		Queue:     engine.NewTenantQueue(s),
+		Queue:     NewTenantQueue(s),
 		Exemplars: ex,
 		Tracer:    span.New(span.Config{Service: "burn-e2e", Seed: 11}),
-		Execute: func(ctx context.Context, job *engine.Job) (*sim.Result, error) {
-			return &sim.Result{}, nil // execution cost is not under test
+		// Execution cost is not under test: every job returns at once
+		// after the workers are released.
+		run: func(ctx context.Context, job *Job) (*sim.Result, error) {
+			select {
+			case <-hold:
+				return &sim.Result{}, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		},
 	})
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(hold)
+		}
+	}
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+	defer release()
 
 	he, err := health.NewEngine(health.Config{
 		Rules: health.RulesConfig{Rules: []health.Rule{{
@@ -74,32 +89,34 @@ func TestMMPPOverloadFiresFastBurnAlert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(engine.NewServer(mgr, engine.WithAlerts(he)))
+	ts := httptest.NewServer(NewServer(mgr, WithAlerts(he)))
 	defer ts.Close()
 
-	submit := func(i int, admitted time.Time) {
+	seed := int64(1000)
+	submit := func(tenant string) *Job {
 		t.Helper()
-		_, err := mgr.Submit(context.Background(), engine.JobRequest{
+		seed++
+		job, err := mgr.Submit(context.Background(), JobRequest{
 			Experiment: "fig5",
 			Params: sim.Params{
-				Requests: 20000, Seed: int64(1000 + i),
+				Requests: 20000, Seed: seed,
 				Bench: []string{"qsort"}, Ranks: 4,
 			},
-			Tenant:       "interactive",
-			AdmittedAtMs: admitted.UnixMilli(),
+			Tenant: tenant,
 		})
 		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatalf("submit %s: %v", tenant, err)
 		}
+		return job
 	}
-	drain := func() {
+	waitFor := func(what string, cond func() bool) {
 		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for s.Depth() > 0 || mgr.Metrics().Running.Load() > 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("queue never drained (depth %d)", s.Depth())
+		limit := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(limit) {
+				t.Fatalf("timed out waiting for %s", what)
 			}
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	fetchAlert := func(state health.State) *health.AlertView {
@@ -123,24 +140,25 @@ func TestMMPPOverloadFiresFastBurnAlert(t *testing.T) {
 		return nil
 	}
 
-	// Overload: an MMPP2 burst's arrivals all miss the 50ms queue-wait
-	// deadline. The seeded process makes the schedule reproducible; the
-	// top-up loop guards against a draw landing in the calm state.
-	rng := rand.New(rand.NewSource(7))
-	process := loadgen.MMPP2{RatePerS: 2, BurstRatePerS: 80, MeanCalmS: 0.02, MeanBurstS: 5}
-	burst := process.Arrivals(time.Second, rng)
-	for len(burst) < 20 {
-		burst = append(burst, process.Arrivals(time.Second, rng)...)
+	// Overload: two batch jobs hold both workers, a burst of interactive
+	// jobs queues behind them, and the workers stay held past the
+	// deadline.
+	submit("batch")
+	submit("batch")
+	waitFor("both workers held", func() bool { return mgr.Metrics().Running.Load() == 2 })
+	const burst = 20
+	for i := 0; i < burst; i++ {
+		submit("interactive")
 	}
-	backDated := time.Now().Add(-10 * time.Second)
-	for i := range burst {
-		submit(i, backDated)
-	}
-	drain()
+	time.Sleep(2 * deadline)
+	release()
+	waitFor("burst drained", func() bool {
+		return s.Depth() == 0 && mgr.Metrics().Running.Load() == 0
+	})
 	he.EvalOnce()
 	fired := fetchAlert(health.StateFiring)
 	if fired == nil {
-		t.Fatalf("no firing interactive-slo-fast alert after %d missed deadlines", len(burst))
+		t.Fatalf("no firing interactive-slo-fast alert after %d missed deadlines", burst)
 	}
 	if fired.Annotations["exemplar_trace"] == "" || fired.Annotations["trace_url"] == "" {
 		t.Fatalf("firing alert lacks exemplar annotations: %v", fired.Annotations)
@@ -154,21 +172,17 @@ func TestMMPPOverloadFiresFastBurnAlert(t *testing.T) {
 		t.Fatalf("GET %s = %d, want 200", fired.Annotations["trace_url"], resp.StatusCode)
 	}
 
-	// Recovery: calm-rate arrivals admitted on time refill the budget —
-	// 5× the misses puts windowed attainment at ~0.83, well above the
+	// Recovery: on-time jobs refill the budget — 5× the misses puts
+	// windowed attainment at ~0.83, well above the
 	// 1 − objective·FastBurn = 0.25 floor the rule needs.
-	calm := loadgen.Poisson{RatePerS: 300}.Arrivals(time.Second, rng)
-	for len(calm) < 5*len(burst) {
-		calm = append(calm, loadgen.Poisson{RatePerS: 300}.Arrivals(time.Second, rng)...)
+	for i := 0; i < 5*burst; i++ {
+		job := submit("interactive")
+		waitFor("recovery job "+job.ID(), func() bool { return job.State().Terminal() })
 	}
-	for i := range calm {
-		submit(len(burst)+i, time.Now())
-	}
-	drain()
 	he.EvalOnce()
 	resolved := fetchAlert(health.StateResolved)
 	if resolved == nil {
-		t.Fatalf("alert did not resolve after %d on-time dequeues", len(calm))
+		t.Fatalf("alert did not resolve after %d on-time dequeues", 5*burst)
 	}
 	if resolved.ID != fired.ID {
 		t.Fatalf("resolved alert %s is not the fired alert %s", resolved.ID, fired.ID)

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -318,6 +320,79 @@ func TestTraceUploadPresized(t *testing.T) {
 	chunked := upload(io.MultiReader(bytes.NewReader(buf.Bytes())))
 	if !reflect.DeepEqual(chunked.Records(), sized.Records()) {
 		t.Errorf("chunked upload stored %d records, sized %d", chunked.Count, sized.Count)
+	}
+}
+
+// readWatch wraps a request body and closes waiting at the first Read
+// after want bytes were delivered: the decoder has consumed everything
+// sent so far and blocks for more.
+type readWatch struct {
+	io.ReadCloser
+	delivered, want int64
+	waiting         chan struct{}
+	once            sync.Once
+}
+
+func (w *readWatch) Read(p []byte) (int, error) {
+	if w.delivered >= w.want {
+		w.once.Do(func() { close(w.waiting) })
+	}
+	n, err := w.ReadCloser.Read(p)
+	w.delivered += int64(n)
+	return n, err
+}
+
+// TestTraceUploadStalledHoldsFirstChunk: an upload whose Content-Length
+// claims 4M records (about 96 MB decoded) but which sends ten records and
+// then stalls allocates no more than the first chunk while it waits. The
+// claim steers how the record slice grows, never how much is reserved
+// before the bytes arrive.
+func TestTraceUploadStalledHoldsFirstChunk(t *testing.T) {
+	mgr := New(Config{Workers: 1, QueueDepth: 1})
+	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+
+	var buf bytes.Buffer
+	bw := trace.NewBinWriter(&buf)
+	for i := 0; i < 10; i++ {
+		bw.Write(trace.Record{Op: trace.Op(i % 2), Addr: uint64(i) * 64, Time: int64(i) * 50})
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	first := buf.Bytes()
+	claim := int64(len(first)-10*17) + 17*int64(4<<20) // the default record bound
+
+	watch := &readWatch{want: int64(len(first)), waiting: make(chan struct{})}
+	api := NewServer(mgr)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		watch.ReadCloser = r.Body
+		r.Body = watch
+		api.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/traces HTTP/1.1\r\nHost: womd\r\n"+
+		"Content-Type: application/octet-stream\r\nContent-Length: %d\r\n\r\n", claim)
+	if _, err := conn.Write(first); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-watch.waiting:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never read the first chunk")
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 8 << 20 // the 1.5 MB first chunk plus connection buffers
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("stalled upload allocated %.1f MB, want at most %d MB", float64(got)/(1<<20), limit>>20)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	mgr := New(Config{
 		Workers:    1,
 		QueueDepth: 2,
-		Execute: func(ctx context.Context, job *Job) (*sim.Result, error) {
+		run: func(ctx context.Context, job *Job) (*sim.Result, error) {
 			select {
 			case <-release:
 				return nil, errors.New("released")

@@ -51,11 +51,6 @@ type JobRequest struct {
 	// or empty names map to the default tenant. Ignored (but recorded in
 	// the JobView) when womd runs without -tenants.
 	Tenant string `json:"tenant,omitempty"`
-	// AdmittedAtMs is the Unix-millisecond time the job was first admitted,
-	// set by a cluster coordinator re-submitting the job on a worker so its
-	// queue-wait and tenant deadline stay measured from the original
-	// admission. 0 (external submissions) means "now".
-	AdmittedAtMs int64 `json:"admitted_at_ms,omitempty"`
 }
 
 // Job is one submitted experiment moving through the manager.
@@ -76,10 +71,9 @@ type Job struct {
 	// to workers (Submit/Enqueue), so reads need no lock.
 	tenant string
 
-	// trace is the root "job" span's position in the job's distributed
-	// trace: the parent for every lifecycle child span (queue_wait,
-	// dispatch, execute, store, sse_stream) and the source of the
-	// traceparent a coordinator forwards to a worker. rootSpan is that
+	// trace is the root "job" span's position in the job's trace: the
+	// parent for every lifecycle child span (queue_wait, execute, store,
+	// sse_stream) and the traceparent the JobView reports. rootSpan is that
 	// span's live handle, ended exactly once (endTrace) when the job
 	// settles; traceEnqueued marks when the job entered the queue, the
 	// retroactive queue_wait span's left edge. All three are written only
@@ -87,11 +81,6 @@ type Job struct {
 	trace         span.Context
 	rootSpan      *span.Active
 	traceEnqueued time.Time
-
-	// startedCh closes when the job transitions Queued → Running; set only
-	// for jobs that will actually execute (queue leaders). Cluster workers
-	// watch it to tell a coordinator the dispatched job left the queue.
-	startedCh chan struct{}
 
 	// progress counts records processed against the job's known total,
 	// fed lock-free by the running experiment (sim.WithProgress). Done
@@ -120,12 +109,13 @@ type Job struct {
 	// fine-grained reporting stride cannot flood subscriber buffers.
 	streamPermille atomic.Int64
 
-	mu        sync.Mutex
-	state     State
-	err       error
-	result    *sim.Result
-	perf      *perfmon.JobRecord // final accounting, set at job end
-	worker    string             // cluster worker id the job executed on
+	mu     sync.Mutex
+	state  State
+	err    error
+	result *sim.Result
+	perf   *perfmon.JobRecord // final accounting, set at job end
+	// submitted is the admission time, written before the job is visible
+	// and never changed, so it is read without the lock.
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -143,37 +133,9 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Key returns the resultstore content key; "" when the job is not
-// content-addressable (trace replays, or no store configured).
-func (j *Job) Key() string { return j.key }
-
-// RequestID returns the submitting request's id ("" when none was supplied),
-// the token that ties every lifecycle log line — including cluster dispatch
-// and requeue lines — back to one HTTP request.
-func (j *Job) RequestID() string { return j.reqID }
-
-// Experiment returns the registry name the job runs.
-func (j *Job) Experiment() string { return j.exp.Name }
-
-// Request returns the submission as received (trace reference unresolved).
-func (j *Job) Request() JobRequest { return j.req }
-
-// Params returns the resolved run parameters, including any trace records
-// pulled from the upload store. Callers must treat slices as read-only.
-func (j *Job) Params() sim.Params { return j.params }
-
-// Timeout returns the job's execution bound; 0 means unbounded.
-func (j *Job) Timeout() time.Duration { return j.timeout }
-
-// TenantName returns the scheduling class the job was admitted under ("",
-// when submitted without a tenant on the default FIFO queue). A cluster
-// coordinator forwards it in the dispatch so the worker bills the same
-// class.
-func (j *Job) TenantName() string { return j.tenant }
-
-// TraceContext returns the job's position in its distributed trace — the
-// root "job" span every lifecycle child parents under. Zero (invalid) when
-// tracing is off.
+// TraceContext returns the job's position in its trace — the root "job"
+// span every lifecycle child parents under. Zero (invalid) when tracing is
+// off.
 func (j *Job) TraceContext() span.Context { return j.trace }
 
 // endTrace closes the job's root span with its terminal state. Idempotent
@@ -183,108 +145,8 @@ func (j *Job) endTrace() {
 		return
 	}
 	j.rootSpan.SetStr("state", string(j.State()))
-	if w := j.workerID(); w != "" {
-		j.rootSpan.SetStr("worker", w)
-	}
 	j.rootSpan.End()
 }
-
-// closedCh is the Started answer for jobs that never pass through the queue.
-var closedCh = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// Started returns a channel closed when the job leaves the queue for a
-// worker goroutine. Meaningful only for jobs that execute (queue leaders);
-// cache hits and deduped followers report an already-closed channel.
-func (j *Job) Started() <-chan struct{} {
-	if j.startedCh == nil {
-		return closedCh
-	}
-	return j.startedCh
-}
-
-// CancelIfQueued cancels the job only when it has not started running,
-// reporting whether it did. Cluster coordinators use it to steal a queued
-// job from an overloaded worker without killing one that already executes.
-func (j *Job) CancelIfQueued() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.cancelReq = true
-	return true
-}
-
-// SetWorker records the cluster worker id the job was dispatched to; it
-// shows up in the JobView and the finished log line.
-func (j *Job) SetWorker(id string) {
-	j.mu.Lock()
-	j.worker = id
-	j.mu.Unlock()
-}
-
-// workerID snapshots the dispatched-to worker id ("" when local).
-func (j *Job) workerID() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.worker
-}
-
-// ForwardProgress feeds a progress report observed elsewhere (a cluster
-// worker) into this job's monotone gauge and its SSE subscribers, exactly as
-// a local run's sim.ProgressFunc would.
-func (j *Job) ForwardProgress(done, total int64) { j.reportProgress(done, total) }
-
-// PublishRaw fans an already-marshaled event payload out to this job's SSE
-// subscribers — the pass-through a coordinator uses to re-emit worker stream
-// frames (telemetry windows) without re-marshaling them.
-func (j *Job) PublishRaw(name string, data []byte) {
-	if j.hub == nil {
-		return
-	}
-	j.hub.publishRaw(name, data)
-}
-
-// SubscribeStream exposes the job's live event feed (the SSE hub) to
-// non-HTTP consumers — a cluster worker forwarding frames to its
-// coordinator. The channel closes when the job reaches a terminal state;
-// cancel must be called when the consumer stops early. Jobs born terminal
-// return an already-closed feed.
-func (j *Job) SubscribeStream() (<-chan StreamEvent, func()) {
-	if j.hub == nil {
-		ch := make(chan StreamEvent)
-		close(ch)
-		return ch, func() {}
-	}
-	sub, cancel := j.hub.subscribe()
-	return sub.ch, cancel
-}
-
-// SetRemotePerf installs a host-time record measured on the worker that
-// executed this job remotely, so the coordinator's JobView carries the
-// worker's accounting instead of a meaningless dispatch-side span.
-func (j *Job) SetRemotePerf(v PerfView) {
-	j.setPerf(v.JobRecord)
-	if len(v.WriteClasses) > 0 {
-		j.addClassCounts(classArray(v.WriteClasses))
-	}
-}
-
-// submittedAt returns the admission time (for the queue-wait histogram).
-func (j *Job) submittedAt() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.submitted
-}
-
-// SubmittedAt exposes the job's first admission time. A cluster
-// coordinator forwards it in the dispatch (DispatchRequest.AdmittedAtMs)
-// so a worker's queue-wait accounting starts at the original admission.
-func (j *Job) SubmittedAt() time.Time { return j.submittedAt() }
 
 // Result returns the experiment result once the job succeeded.
 func (j *Job) Result() (*sim.Result, error) {
@@ -324,9 +186,6 @@ func (j *Job) markRunning(cancel context.CancelFunc) bool {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
-	if j.startedCh != nil {
-		close(j.startedCh)
-	}
 	return true
 }
 
@@ -410,16 +269,6 @@ func (j *Job) addClassCounts(counts [probe.NumWriteKinds]uint64) {
 	}
 }
 
-// classArray maps a write-class name→count map (the wire form) back onto the
-// kind-indexed array the counters use; unknown names are ignored.
-func classArray(m map[string]uint64) [probe.NumWriteKinds]uint64 {
-	var out [probe.NumWriteKinds]uint64
-	for k := 0; k < probe.NumWriteKinds; k++ {
-		out[k] = m[probe.Kind(k).String()]
-	}
-	return out
-}
-
 // classCounts snapshots the job's write-class totals as a name→count map,
 // omitting zero classes.
 func (j *Job) classCounts() map[string]uint64 {
@@ -440,13 +289,6 @@ func (j *Job) setPerf(rec perfmon.JobRecord) {
 	j.mu.Lock()
 	j.perf = &rec
 	j.mu.Unlock()
-}
-
-// perfRecord snapshots the job's final host-time accounting; nil until set.
-func (j *Job) perfRecord() *perfmon.JobRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.perf
 }
 
 // ProgressView is the JSON shape of GET /v1/jobs/{id}/progress. Total is 0
@@ -516,12 +358,9 @@ type JobView struct {
 	Cached bool `json:"cached,omitempty"`
 	// DedupOf names the identical in-flight job this one was folded into.
 	DedupOf string `json:"dedup_of,omitempty"`
-	// Worker names the cluster worker the job was dispatched to; empty for
-	// jobs executed in-process.
-	Worker string `json:"worker,omitempty"`
 	// Tenant is the scheduling class the job was admitted under.
 	Tenant string `json:"tenant,omitempty"`
-	// Traceparent is the job's distributed-trace position in W3C form;
+	// Traceparent is the job's trace position in W3C form;
 	// its trace id keys GET /v1/jobs/{id}/trace. Empty when tracing is off.
 	Traceparent string `json:"traceparent,omitempty"`
 	SubmittedAt string `json:"submitted_at"`
@@ -544,7 +383,6 @@ func (j *Job) View() JobView {
 		TraceID:     j.req.TraceID,
 		Cached:      j.cached,
 		DedupOf:     j.dedupOf,
-		Worker:      j.worker,
 		Tenant:      j.tenant,
 		Traceparent: j.trace.Traceparent(),
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),

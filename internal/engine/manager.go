@@ -65,12 +65,12 @@ type Config struct {
 	// Profiles, when set, enables automatic slow-job profiling: a monitor
 	// goroutine samples running jobs' rolling events/sec and captures
 	// CPU+heap pprof profiles into this store when a job falls below
-	// SlowFraction of the fleet median or crosses DeadlineFraction of its
-	// timeout. nil disables the monitor entirely.
+	// SlowFraction of the running jobs' median or crosses DeadlineFraction
+	// of its timeout. nil disables the monitor entirely.
 	Profiles *perfmon.ProfileStore
 	// SlowFraction triggers a capture when a job's rolling rate drops below
-	// this fraction of the fleet median (default 0.25). Needs at least two
-	// running jobs — a median of one is the job itself.
+	// this fraction of the running jobs' median (default 0.25). Needs at
+	// least two running jobs — a median of one is the job itself.
 	SlowFraction float64
 	// DeadlineFraction triggers a capture when a job with a timeout has
 	// consumed this fraction of it (default 0.9) — about to be killed is
@@ -78,34 +78,29 @@ type Config struct {
 	DeadlineFraction float64
 	// MonitorInterval spaces monitor passes (default 15s).
 	MonitorInterval time.Duration
-	// Execute, when set, replaces in-process experiment execution: a worker
-	// goroutine that dequeues a job calls it instead of running the
-	// experiment itself. The cluster coordinator (internal/cluster) installs
-	// its dispatcher here, turning the pool into N concurrent remote-job
-	// slots while the queue, admission control, result store, singleflight,
-	// and SSE fan-out stay exactly as in standalone mode. Returning
-	// ErrExecuteLocally falls back to in-process execution for that job
-	// (e.g. no workers registered, or inputs that cannot cross the wire).
-	Execute ExecuteFunc
 	// ProfileCPUDuration is how long a capture samples CPU (default 500ms).
 	ProfileCPUDuration time.Duration
 	// Exemplars, when set, records the latest job/trace per subject
-	// (service, tenant, worker, shed, slow) as each job settles, so alert
+	// (service, tenant, shed, slow) as each job settles, so alert
 	// annotations (internal/health) can point at a concrete trace. nil —
 	// the -alerts=false path — costs one pointer check per job, pinned by
 	// TestObserveExemplarDisabledZeroAlloc.
 	Exemplars *health.Exemplars
-	// Tracer records the job lifecycle as distributed-trace spans
-	// (internal/span): a root "job" span per submission with admission,
-	// queue-wait, execute/dispatch, store, and SSE children, propagated
-	// across cluster hops via W3C traceparent. nil disables tracing — every
-	// instrumentation site is a nil-safe no-op.
+	// Tracer records the job lifecycle as trace spans (internal/span): a
+	// root "job" span per submission with admission, queue-wait, execute,
+	// store, and SSE children, continuing a client's W3C traceparent when
+	// one is given. nil disables tracing — every instrumentation site is a
+	// nil-safe no-op.
 	Tracer *span.Recorder
 	// History, when set, records each finished job's wall time into the
 	// embedded metrics history (internal/tsdb) alongside the self-scraped
 	// families. nil — the -history=false path — costs one pointer check
 	// per job, pinned by TestObserveHistoryDisabledZeroAlloc.
 	History *tsdb.DB
+
+	// run executes one dequeued job; nil selects the job's registry
+	// experiment. Tests in this package stub it to hold or fake execution.
+	run func(ctx context.Context, job *Job) (*sim.Result, error)
 }
 
 func (c Config) withDefaults() Config {
@@ -130,18 +125,13 @@ func (c Config) withDefaults() Config {
 	if c.MonitorInterval <= 0 {
 		c.MonitorInterval = 15 * time.Second
 	}
+	if c.run == nil {
+		c.run = func(ctx context.Context, job *Job) (*sim.Result, error) {
+			return job.exp.Run(ctx, job.params)
+		}
+	}
 	return c
 }
-
-// ExecuteFunc runs one job outside the manager (see Config.Execute). ctx
-// carries the job's timeout and cancellation; implementations must return
-// ctx.Err() when it ends the run so the manager maps the outcome onto the
-// usual timed-out/canceled states.
-type ExecuteFunc func(ctx context.Context, job *Job) (*sim.Result, error)
-
-// ErrExecuteLocally is returned by an ExecuteFunc to decline a job: the
-// manager runs it in-process instead, exactly as in standalone mode.
-var ErrExecuteLocally = errors.New("engine: execute locally")
 
 // Admission and lifecycle errors, mapped to HTTP statuses by the server.
 var (
@@ -262,8 +252,8 @@ func (m *Manager) QueueStats() (depth, capacity int) {
 
 // DefaultReadySaturation is the queue-occupancy fraction at which
 // readiness flips to not-ready: past it, new work is likely to be shed,
-// so load balancers and the cluster coordinator should route elsewhere
-// while the process keeps serving what it already holds.
+// so load balancers should route elsewhere while the process keeps
+// serving what it already holds.
 const DefaultReadySaturation = 0.9
 
 // Readiness is the GET /readyz body: distinct from liveness (/healthz),
@@ -334,16 +324,6 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 	}
 	reqID := RequestIDFrom(ctx)
-	// A job re-dispatched by a cluster coordinator carries its first
-	// admission time, so queue-wait and any tenant deadline are measured
-	// from when the client's submission was admitted — not restarted at
-	// each hop. Future timestamps are clamped to now (clock skew).
-	admitted := time.Now()
-	if req.AdmittedAtMs > 0 {
-		if t := time.UnixMilli(req.AdmittedAtMs); t.Before(admitted) {
-			admitted = t
-		}
-	}
 
 	// Content-address the request when the store can serve or dedup it.
 	var key string
@@ -353,10 +333,9 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		}
 	}
 
-	// The job's root "job" span. A submission carrying a propagated
-	// traceparent (cluster dispatch) continues that trace — the worker's
-	// root parents under the coordinator's dispatch span — otherwise a
-	// fresh trace starts here. Every reject path below ends the span with
+	// The job's root "job" span. A submission carrying a client's
+	// traceparent continues that trace; otherwise a fresh trace starts
+	// here. Every reject path below ends the span with
 	// the error attached; settled jobs end it via endTrace.
 	var root *span.Active
 	if parent, ok := TraceParentFrom(ctx); ok {
@@ -425,7 +404,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 				exp: exp, req: req, params: params, timeout: timeout,
 				key: key, dedupOf: fl.leader.id, reqID: reqID, tenant: req.Tenant,
 				trace: root.Context(), rootSpan: root,
-				state: StateQueued, submitted: admitted,
+				state: StateQueued, submitted: time.Now(),
 				hub: newStreamHub(m.metrics),
 			}
 			fl.waiters = append(fl.waiters, job)
@@ -457,9 +436,8 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		rootSpan:      root,
 		traceEnqueued: enq,
 		state:         StateQueued,
-		submitted:     admitted,
+		submitted:     enq,
 		hub:           newStreamHub(m.metrics),
-		startedCh:     make(chan struct{}),
 	}
 	if err := m.queue.Enqueue(job); err != nil {
 		m.seq-- // id not spent
@@ -612,40 +590,21 @@ func (m *Manager) runJob(job *Job) {
 		return
 	}
 	m.metrics.Running.Add(1)
-	m.metrics.ObserveQueueWait(time.Since(job.submittedAt()))
+	m.metrics.ObserveQueueWait(time.Since(job.submitted))
 	m.recordQueueWait(job)
 	m.log.Info("job started", "job", job.id, "experiment", job.exp.Name,
 		"request_id", job.reqID)
 	start := time.Now()
-	var (
-		res    *sim.Result
-		err    error
-		pspan  *perfmon.Span
-		remote bool
-	)
-	// A configured Execute hook (cluster coordinator) gets the job first; it
-	// declines with ErrExecuteLocally when no worker can take it. The
-	// dispatch-side trace span is the hook's own (cluster's runOn).
-	if m.cfg.Execute != nil {
-		res, err = m.cfg.Execute(ctx, job)
-		if errors.Is(err, ErrExecuteLocally) {
-			res, err = nil, nil
-		} else {
-			remote = true
-		}
+	// Host-time accounting brackets the run. A nil span (DisablePerf)
+	// makes every perf touchpoint below a single pointer check — the probe
+	// contract, pinned by BenchmarkSpanDisabled.
+	var pspan *perfmon.Span
+	if !m.cfg.DisablePerf {
+		pspan = perfmon.Begin()
+		job.span.Store(pspan)
 	}
-	var execSpan *span.Active
-	if !remote {
-		// Host-time accounting brackets the local run. A nil span
-		// (DisablePerf) makes every perf touchpoint below a single pointer
-		// check — the probe contract, pinned by BenchmarkSpanDisabled.
-		if !m.cfg.DisablePerf {
-			pspan = perfmon.Begin()
-			job.span.Store(pspan)
-		}
-		execSpan = m.cfg.Tracer.StartSpan(job.trace, "execute")
-		res, err = job.exp.Run(m.jobContext(ctx, job), job.params)
-	}
+	execSpan := m.cfg.Tracer.StartSpan(job.trace, "execute")
+	res, err := m.cfg.run(m.jobContext(ctx, job), job)
 	m.metrics.Running.Add(-1)
 	wall := time.Since(start)
 	m.metrics.ObserveWall(job.exp.Name, wall)
@@ -662,13 +621,6 @@ func (m *Manager) runJob(job *Job) {
 		execSpan.SetFloat("events_per_sec", rec.EventsPerSec)
 		execSpan.SetInt("cpu_ns", rec.CPUNs)
 		execSpan.SetInt("alloc_bytes", int64(rec.AllocBytes))
-	} else if remote {
-		// A remote job's accounting was measured on the worker and installed
-		// via SetRemotePerf; fold it into the fleet-facing histograms here.
-		if rec := job.perfRecord(); rec != nil {
-			m.metrics.ObservePerf(job.exp.Name, *rec)
-			m.metrics.AddWriteClasses(classArray(job.classCounts()))
-		}
 	}
 	execSpan.End()
 	switch {
@@ -696,9 +648,6 @@ func (m *Manager) runJob(job *Job) {
 	attrs := []any{"job", job.id, "experiment", job.exp.Name,
 		"request_id", job.reqID, "state", string(job.State()),
 		"duration_ms", wall.Milliseconds()}
-	if w := job.workerID(); w != "" {
-		attrs = append(attrs, "worker", w)
-	}
 	if err != nil {
 		attrs = append(attrs, "error", err.Error())
 		m.log.Warn("job finished", attrs...)
@@ -721,9 +670,6 @@ func (m *Manager) observeExemplar(job *Job) {
 	ex.Observe("service", job.id, tid)
 	if job.tenant != "" {
 		ex.Observe("tenant:"+job.tenant, job.id, tid)
-	}
-	if w := job.workerID(); w != "" {
-		ex.Observe("worker:"+w, job.id, tid)
 	}
 }
 

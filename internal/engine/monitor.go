@@ -11,7 +11,7 @@ import (
 // triggers, checked every MonitorInterval:
 //
 //   - slow: the job's rolling events/sec over the last pass dropped below
-//     SlowFraction of the fleet median. Needs ≥2 running jobs — with one
+//     SlowFraction of the running jobs' median. Needs ≥2 running jobs — with one
 //     job the median is the job itself and the comparison is vacuous.
 //   - deadline: a job with a timeout has consumed DeadlineFraction of it.
 //     It is about to be killed; the profile is the post-mortem.
@@ -43,7 +43,7 @@ func slowVerdicts(samples []slowSample, slowFrac, deadlineFrac float64) map[stri
 			out[s.id] = "deadline"
 		}
 	}
-	// Median over jobs with a measured rate; the slow rule needs a fleet to
+	// Median over jobs with a measured rate; the slow rule needs other jobs to
 	// compare against, so fewer than two eligible jobs disables it.
 	rates := make([]float64, 0, len(samples))
 	for _, s := range samples {

@@ -109,10 +109,10 @@ func TestSlowVerdicts(t *testing.T) {
 		want    map[string]string
 	}{
 		{"empty", nil, map[string]string{}},
-		{"one job no fleet", []slowSample{mk("a", 1)}, map[string]string{}},
+		{"one job alone", []slowSample{mk("a", 1)}, map[string]string{}},
 		{"slow outlier", []slowSample{mk("a", 1000), mk("b", 1100), mk("c", 10)},
 			map[string]string{"c": "slow"}},
-		{"uniform fleet clean", []slowSample{mk("a", 1000), mk("b", 1100), mk("c", 900)},
+		{"uniform jobs clean", []slowSample{mk("a", 1000), mk("b", 1100), mk("c", 900)},
 			map[string]string{}},
 		{"ineligible first pass", []slowSample{
 			{id: "a", rate: 0, eligible: false}, mk("b", 1000), mk("c", 1100)},

@@ -36,7 +36,7 @@ type Queue interface {
 
 // shedRejection couples ErrQueueFull with the scheduler's shed detail, so
 // errors.Is(err, ErrQueueFull) keeps selecting the 429 path everywhere
-// (server, cluster agent) while errors.As(err, **sched.ShedError) exposes
+// while errors.As(err, **sched.ShedError) exposes
 // the reason, tenant, and Retry-After to the error body.
 type shedRejection struct {
 	msg  string
@@ -101,8 +101,8 @@ func (q *fifoQueue) Cap() int { return cap(q.ch) }
 func (q *fifoQueue) Close() { close(q.ch) }
 
 // tenantQueue adapts a sched.Scheduler to the Queue interface: jobs become
-// scheduler items carrying their tenant name and first-admission time (so
-// a cluster re-dispatch keeps its original deadline).
+// scheduler items carrying their tenant name and admission time, from
+// which the scheduler derives the tenant deadline.
 type tenantQueue struct {
 	s *sched.Scheduler
 }

@@ -33,7 +33,7 @@ import (
 //	GET    /v1/jobs/{id}/result result of a succeeded job (202 while pending)
 //	GET    /v1/jobs/{id}/progress records processed / total (replay jobs)
 //	GET    /v1/jobs/{id}/stream   live SSE: telemetry windows + progress
-//	GET    /v1/jobs/{id}/trace    distributed trace, Chrome trace-event JSON
+//	GET    /v1/jobs/{id}/trace    job trace, Chrome trace-event JSON
 //	GET    /v1/jobs/{id}/profiles        pprof captures for a slow job
 //	GET    /v1/jobs/{id}/profiles/{file} one capture, pprof binary body
 //	DELETE /v1/jobs/{id}        cancel a pending job / delete a finished one
@@ -99,7 +99,7 @@ func WithHeartbeat(d time.Duration) ServerOption {
 
 // WithCollector appends a plane's metric families to GET /metrics, after
 // the service's own and in option order — the hook runtime metrics,
-// alerts, spans, the cluster coordinator, the scheduler and the history
+// alerts, spans, the scheduler and the history
 // store export through. The history self-scrape gathers the same list.
 func WithCollector(f func() []metrics.Family) ServerOption {
 	return func(s *Server) {
@@ -192,7 +192,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx := WithRequestID(r.Context(), id)
 	// A W3C traceparent header joins this request to the caller's trace:
 	// Submit parents the job's root span under it instead of starting a
-	// fresh trace (cluster dispatch propagation).
+	// fresh trace.
 	if tc, ok := span.FromRequest(r); ok {
 		ctx = WithTraceParent(ctx, tc)
 	}
@@ -384,12 +384,9 @@ func (s *Server) getResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// getJobTrace serves GET /v1/jobs/{id}/trace: the job's distributed trace
-// as Chrome trace-event JSON, directly loadable in Perfetto and rendered
-// to an HTML waterfall by `womtool spans`. On a cluster coordinator the
-// trace includes the worker-side spans shipped back over the dispatch
-// stream, so one document answers "where did this job's time go" across
-// processes. 404 for a job whose trace was sampled out (or predates the
+// getJobTrace serves GET /v1/jobs/{id}/trace: the job's trace as Chrome
+// trace-event JSON, directly loadable in Perfetto and rendered to an HTML
+// waterfall by `womtool spans`. 404 for a job whose trace was sampled out (or predates the
 // span buffer's eviction horizon), 501 when tracing is off.
 func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.m.Get(r.PathValue("id"))
@@ -679,7 +676,7 @@ func (s *Server) promMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // Collect gathers every family GET /metrics serves: service counters,
 // store gauge, per-job progress, then each WithCollector plane (runtime
-// metrics, alerts, spans, cluster and federated fleet families, tenants,
+// metrics, alerts, spans, tenants,
 // the history store's own gauges). The history self-scrape gathers from
 // here, so everything /metrics exposes is also everything history
 // records.
@@ -734,9 +731,7 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 
 // readyz is readiness, split from /healthz's liveness: a draining or
 // saturated process is still alive (do not restart it) but should stop
-// receiving new work (503). Load balancers poll this; the cluster agent
-// reports the same verdict in its heartbeats so the coordinator routes
-// around not-ready workers.
+// receiving new work (503). Load balancers poll this.
 func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
 	rd := s.m.Readiness(s.readySat)
 	status := http.StatusOK

@@ -99,8 +99,8 @@ func TestJobTraceEndpoint(t *testing.T) {
 		}
 	}
 
-	// The root "job" span parents under the caller's span id — the property
-	// cluster dispatch relies on to stitch coordinator and worker spans.
+	// The root "job" span parents under the caller's span id, so the job
+	// nests inside the client's own trace.
 	var rootParent string
 	for _, s := range rec.Trace(tc.TraceID) {
 		if s.Name == "job" {

@@ -18,11 +18,9 @@ import (
 // experiment's clock must never wait on a slow network reader.
 const streamClientBuf = 256
 
-// StreamEvent is one live job event: the event name plus a single-line JSON
+// streamEvent is one live job event: the event name plus a single-line JSON
 // payload (json.Marshal emits no newlines, so one SSE data: line suffices).
-// Exported so cluster workers can forward a job's feed (Job.SubscribeStream)
-// to their coordinator.
-type StreamEvent struct {
+type streamEvent struct {
 	Name string
 	Data []byte
 }
@@ -37,7 +35,7 @@ type streamWindow struct {
 // streamSub is one subscriber's bounded event feed. The channel closes when
 // the job reaches a terminal state.
 type streamSub struct {
-	ch chan StreamEvent
+	ch chan streamEvent
 }
 
 // streamHub fans one job's live events (telemetry windows, progress) out to
@@ -73,21 +71,7 @@ func publish[T any](h *streamHub, name string, v T) {
 	if err != nil {
 		return
 	}
-	h.publishRaw(name, data)
-}
-
-// watched reports whether an event published now could reach a
-// subscriber: the hub is open and has at least one.
-func (h *streamHub) watched() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return !h.closed && len(h.subs) > 0
-}
-
-// publishRaw offers an already-marshaled event to every subscriber —
-// the pass-through for frames that arrive marshaled from a cluster worker.
-func (h *streamHub) publishRaw(name string, data []byte) {
-	ev := StreamEvent{Name: name, Data: data}
+	ev := streamEvent{Name: name, Data: data}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -101,6 +85,14 @@ func (h *streamHub) publishRaw(name string, data []byte) {
 			h.dropped.Add(1)
 		}
 	}
+}
+
+// watched reports whether an event published now could reach a
+// subscriber: the hub is open and has at least one.
+func (h *streamHub) watched() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return !h.closed && len(h.subs) > 0
 }
 
 // droppedCount reports this hub's lost events; nil-safe (cache-hit jobs
@@ -118,7 +110,7 @@ func (h *streamHub) droppedCount() uint64 {
 // returns an already-closed feed, so callers fall straight through to the
 // terminal event.
 func (h *streamHub) subscribe() (*streamSub, func()) {
-	sub := &streamSub{ch: make(chan StreamEvent, streamClientBuf)}
+	sub := &streamSub{ch: make(chan streamEvent, streamClientBuf)}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()

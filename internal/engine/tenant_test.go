@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,15 +17,16 @@ import (
 	"womcpcm/internal/sim"
 )
 
-// blockingManager builds a manager whose Execute hook parks every job until
-// the returned release func is called (tests fill the queue deterministically).
+// blockingManager builds a manager whose stubbed execution parks every job
+// until the returned release func is called (tests fill the queue
+// deterministically).
 func blockingManager(t *testing.T, cfg Config) (*Manager, func()) {
 	t.Helper()
 	block := make(chan struct{})
-	cfg.Execute = func(ctx context.Context, job *Job) (*sim.Result, error) {
+	cfg.run = func(ctx context.Context, job *Job) (*sim.Result, error) {
 		select {
 		case <-block:
-			return &sim.Result{Experiment: job.Experiment()}, nil
+			return &sim.Result{Experiment: job.exp.Name}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -235,50 +237,41 @@ func TestTenantQueueEndToEnd(t *testing.T) {
 	// Unblock and drain: every admitted job completes.
 	release()
 	for _, j := range mgr.Jobs() {
-		if got := waitJobTerminal(t, j, 30*time.Second); got != StateSucceeded {
+		if got := waitTerminal(t, mgr, j.ID()).State(); got != StateSucceeded {
 			t.Fatalf("job %s = %s after release, want succeeded", j.ID(), got)
 		}
 	}
 }
 
-// TestAdmittedAtPreserved: a submission carrying AdmittedAtMs (a cluster
-// re-dispatch) keeps the original admission as its submitted time, so
-// queue-wait is measured from first admission; future timestamps clamp to
-// now.
-func TestAdmittedAtPreserved(t *testing.T) {
-	mgr := New(Config{Workers: 1, QueueDepth: 4, Execute: func(ctx context.Context, job *Job) (*sim.Result, error) {
-		return &sim.Result{Experiment: job.Experiment()}, nil
-	}})
-	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-
-	then := time.Now().Add(-5 * time.Second)
-	job, err := mgr.Submit(context.Background(), JobRequest{
-		Experiment: "fig5", Params: fastParams(),
-		Tenant: "batch", AdmittedAtMs: then.UnixMilli(),
+// TestSubmitRejectsAdmittedAt: a client cannot backdate its own admission.
+// A POST /v1/jobs body carrying admitted_at_ms is an unknown field and
+// gets a 400; before the field was removed it was accepted, and a job
+// backdated by an hour got a deadline an hour old and jumped its tenant's
+// earlier jobs in EDF order.
+func TestSubmitRejectsAdmittedAt(t *testing.T) {
+	s := sched.New(sched.Config{
+		MaxDepth: 8,
+		Tenants:  []sched.TenantClass{{Name: "interactive", Weight: 1, DeadlineMs: 50}},
 	})
+	mgr, _ := blockingManager(t, Config{Workers: 1, Queue: NewTenantQueue(s)})
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	backdated := time.Now().Add(-time.Hour).UnixMilli()
+	body := fmt.Sprintf(`{"experiment":"fig5","params":{"requests":1000},"tenant":"interactive","admitted_at_ms":%d}`, backdated)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := job.SubmittedAt(); got.Sub(then).Abs() > 50*time.Millisecond {
-		t.Fatalf("SubmittedAt = %v, want ≈ %v (first admission preserved)", got, then)
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit with admitted_at_ms = %d %s, want 400", resp.StatusCode, raw)
 	}
-	if got := job.TenantName(); got != "batch" {
-		t.Errorf("TenantName = %q, want batch", got)
+	if !strings.Contains(string(raw), "admitted_at_ms") {
+		t.Errorf("400 body %s does not name the rejected field", raw)
 	}
-	waitJobTerminal(t, job, 30*time.Second)
-	// The queue-wait histogram must have seen the ≥5s wait.
-	if snap := mgr.Metrics().QueueWaitSnapshot(); snap.Count != 1 {
-		t.Fatalf("queue wait observations = %d, want 1", snap.Count)
-	}
-
-	future, err := mgr.Submit(context.Background(), JobRequest{
-		Experiment: "fig5", Params: fastParams(),
-		AdmittedAtMs: time.Now().Add(time.Hour).UnixMilli(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := future.SubmittedAt(); time.Since(got).Abs() > 5*time.Second {
-		t.Fatalf("future AdmittedAtMs not clamped to now: %v", got)
+	if n := len(mgr.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted, want none", n)
 	}
 }

@@ -8,9 +8,8 @@ import (
 
 // Trace contexts ride the same path request ids do: the server middleware
 // parses an incoming W3C traceparent header into the request context, and
-// Submit picks it up so the job's root span continues the caller's trace —
-// a cluster worker's "job" span parents under the coordinator's dispatch
-// span instead of starting a trace of its own.
+// Submit picks it up so the job's root span continues the caller's trace
+// instead of starting a trace of its own.
 
 type traceParentKey struct{}
 

@@ -25,19 +25,10 @@ type TenantStat struct {
 	DeadlineMs int64 // 0 = no deadline, so no error budget to burn
 }
 
-// WorkerStat is one fleet member as the coordinator sees it.
-type WorkerStat struct {
-	ID           string
-	Name         string
-	HeartbeatAge time.Duration
-	Draining     bool
-	Ready        bool
-}
-
 // Signals wires the evaluator to the rest of the process. Every field is
-// optional — a nil func means that signal plane does not exist in this
-// role (e.g. no Workers on a standalone womd) and rules over it never
-// produce violations.
+// optional — a nil func means that signal plane is not configured (e.g.
+// no Tenants without -tenants) and rules over it never produce
+// violations.
 type Signals struct {
 	// Queue reports engine queue occupancy (queue_saturation, and the
 	// service-wide shed_rate fallback when no tenants are configured).
@@ -47,11 +38,6 @@ type Signals struct {
 	// TenantSLO reports a tenant's windowed dequeue outcomes
 	// (sched.Scheduler.WindowSLO) — the burn-rate numerator/denominator.
 	TenantSLO func(tenant string, window time.Duration) (met, total uint64, ok bool)
-	// Workers lists fleet members (heartbeat_stale).
-	Workers func() []WorkerStat
-	// ScrapeErrors is the coordinator's cumulative federation scrape
-	// error count (scrape_errors).
-	ScrapeErrors func() (uint64, bool)
 	// SlowCaptures is the cumulative slow-job profile capture count
 	// (slow_jobs).
 	SlowCaptures func() (uint64, bool)
@@ -362,12 +348,6 @@ func (e *Engine) collectLocked(now time.Time) []violation {
 			out = e.queueSaturation(out, r)
 		case KindShedRate:
 			out = e.shedRate(out, r, now)
-		case KindHeartbeatStale:
-			out = e.heartbeatStale(out, r)
-		case KindScrapeErrors:
-			out = e.counterRateRule(out, r, now, e.cfg.Signals.ScrapeErrors,
-				"federation", "federation scraping workers' /metrics is failing",
-				"scrape errors/s", nil)
 		case KindSlowJobs:
 			out = e.counterRateRule(out, r, now, e.cfg.Signals.SlowCaptures,
 				"perfmon", "slow-job verdicts are being captured",
@@ -503,35 +483,6 @@ func (e *Engine) shedRate(out []violation, r *Rule, now time.Time) []violation {
 	}
 	e.annotateExemplar(v.ann, "shed", "service")
 	return append(out, v)
-}
-
-func (e *Engine) heartbeatStale(out []violation, r *Rule) []violation {
-	if e.cfg.Signals.Workers == nil {
-		return out
-	}
-	stale := time.Duration(r.Threshold * float64(time.Second))
-	for _, w := range e.cfg.Signals.Workers() {
-		if w.Draining || w.HeartbeatAge < stale {
-			continue
-		}
-		subject := w.Name
-		if subject == "" {
-			subject = w.ID
-		}
-		v := violation{
-			rule: r.Name, base: r.Name, subject: subject,
-			severity: r.Severity, value: w.HeartbeatAge.Seconds(), threshold: r.Threshold,
-			forDur: r.forDur(), keep: r.keepDur(),
-			ann: map[string]string{
-				"summary": fmt.Sprintf("worker %s (%s) last heartbeat %.1fs ago",
-					subject, w.ID, w.HeartbeatAge.Seconds()),
-				"worker_id": w.ID,
-			},
-		}
-		e.annotateExemplar(v.ann, "worker:"+w.ID, "worker:"+subject, "service")
-		out = append(out, v)
-	}
-	return out
 }
 
 // counterRateRule handles the single-subject cumulative-counter kinds.

@@ -14,13 +14,13 @@ type Exemplar struct {
 	At      time.Time
 }
 
-// maxExemplarSubjects bounds the subject map; subjects are tenants,
-// workers, and a few fixed planes, so the cap exists only as a backstop
-// against unbounded worker-id churn.
+// maxExemplarSubjects bounds the subject map; subjects are tenants and a
+// few fixed planes, so the cap exists only as a backstop against
+// unbounded tenant-name churn.
 const maxExemplarSubjects = 4096
 
 // Exemplars is a last-job-per-subject store fed by the engine on every
-// job settle (subjects "service", "tenant:<name>", "worker:<id>", "slow",
+// job settle (subjects "service", "tenant:<name>", "slow",
 // "shed", "shed:tenant:<name>") and read by the alert evaluator to
 // annotate violations. A nil *Exemplars is inert: Observe and Get cost
 // one pointer check, which is the whole -alerts=false hot-path tax.

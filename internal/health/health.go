@@ -1,8 +1,7 @@
 // Package health is womd's SLO-evaluation and alerting engine: it turns
 // the signals the rest of the system already exposes — per-tenant
 // windowed SLO attainment (internal/sched), queue occupancy and shed
-// counters (internal/engine), worker heartbeats and federation scrape
-// errors (internal/cluster), slow-job profile captures (perfmon) — into
+// counters (internal/engine), slow-job profile captures (perfmon) — into
 // alerts with a full lifecycle.
 //
 // The centerpiece is Google-SRE-style multi-window burn-rate evaluation:
@@ -13,8 +12,8 @@
 // blip from paging. Each burn_rate rule evaluates two such pairs: a fast
 // pair (default 1m/5m at 14×) that catches budget-destroying incidents in
 // minutes, and a slow pair (default 5m/30m at 3×) for sustained
-// degradation. Structural rules (queue_saturation, shed_rate,
-// heartbeat_stale, scrape_errors, slow_jobs) watch the planes an SLO
+// degradation. Structural rules (queue_saturation, shed_rate, slow_jobs)
+// watch the planes an SLO
 // ratio cannot see.
 //
 // Every alert walks pending → firing → resolved: a violation must hold
@@ -26,7 +25,7 @@
 // GET /v1/jobs/{id}/trace. Served as GET /v1/alerts and womd_alert_*
 // metric families; `womtool top` renders the live view. Everything is
 // nil-safe in the internal/span style, so -alerts=false costs one pointer
-// check on the job hot path. See DESIGN.md §15.
+// check on the job hot path. See DESIGN.md §14.
 package health
 
 import (
@@ -57,8 +56,6 @@ const (
 	KindBurnRate        = "burn_rate"
 	KindQueueSaturation = "queue_saturation"
 	KindShedRate        = "shed_rate"
-	KindHeartbeatStale  = "heartbeat_stale"
-	KindScrapeErrors    = "scrape_errors"
 	KindSlowJobs        = "slow_jobs"
 )
 
@@ -83,11 +80,6 @@ const (
 //   - queue_saturation: queued depth / capacity ≥ Threshold
 //     (default 0.9). Subject "queue".
 //   - shed_rate: per-tenant sheds per second > Threshold (default 1).
-//   - heartbeat_stale: a registered, non-draining worker's last heartbeat
-//     is older than Threshold seconds (default 15). Subject is the
-//     worker's fleet name.
-//   - scrape_errors: federation scrape errors per second > Threshold
-//     (default 0, i.e. any growth). Subject "federation".
 //   - slow_jobs: slow-job profile captures per second > Threshold
 //     (default 0). Subject "perfmon".
 //
@@ -156,8 +148,6 @@ var ruleKinds = map[string]bool{
 	KindBurnRate:        true,
 	KindQueueSaturation: true,
 	KindShedRate:        true,
-	KindHeartbeatStale:  true,
-	KindScrapeErrors:    true,
 	KindSlowJobs:        true,
 }
 
@@ -228,14 +218,7 @@ func (c *RulesConfig) Validate() error {
 			if r.Threshold < 0 {
 				return fmt.Errorf("health: rule %q: negative threshold", r.Name)
 			}
-		case KindHeartbeatStale:
-			if r.Threshold == 0 {
-				r.Threshold = 15
-			}
-			if r.Threshold < 0 {
-				return fmt.Errorf("health: rule %q: negative threshold", r.Name)
-			}
-		case KindScrapeErrors, KindSlowJobs:
+		case KindSlowJobs:
 			if r.Threshold < 0 {
 				return fmt.Errorf("health: rule %q: negative threshold", r.Name)
 			}
@@ -271,7 +254,7 @@ func LoadRules(path string) (RulesConfig, error) {
 // DefaultRules is the built-in rule set used when -alert-rules is not
 // given: SRE-workbook burn rates on every tenant with a deadline, plus
 // structural rules over each signal plane. Rules whose signal plane is
-// absent (no tenants, no cluster) simply never produce violations.
+// absent (no tenants) simply never produce violations.
 func DefaultRules() RulesConfig {
 	c := RulesConfig{
 		IntervalMs: 5000,
@@ -282,10 +265,6 @@ func DefaultRules() RulesConfig {
 				ForS: 10, KeepFiringS: 30},
 			{Name: "shed-rate", Kind: KindShedRate, Severity: "warn",
 				ForS: 10, KeepFiringS: 30},
-			{Name: "worker-heartbeat-stale", Kind: KindHeartbeatStale, Severity: "page",
-				KeepFiringS: 30},
-			{Name: "fleet-scrape-errors", Kind: KindScrapeErrors, Severity: "warn",
-				ForS: 10, KeepFiringS: 60},
 			{Name: "slow-jobs", Kind: KindSlowJobs, Severity: "warn",
 				KeepFiringS: 60},
 		},

@@ -1,6 +1,8 @@
 package health
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -210,18 +212,11 @@ func TestStructuralRules(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(50_000, 0)}
 	qs := QueueStat{Depth: 95, Cap: 100}
 	sheds := uint64(0)
-	scrapes := uint64(0)
 	captures := uint64(0)
-	workers := []WorkerStat{
-		{ID: "w-001", Name: "alpha", HeartbeatAge: time.Second, Ready: true},
-		{ID: "w-002", Name: "beta", HeartbeatAge: time.Second, Ready: true},
-	}
 	e, err := NewEngine(Config{
 		Rules: RulesConfig{Rules: []Rule{
 			{Name: "sat", Kind: KindQueueSaturation},
 			{Name: "shed", Kind: KindShedRate, Threshold: 0.5},
-			{Name: "stale", Kind: KindHeartbeatStale, Threshold: 5},
-			{Name: "scrape", Kind: KindScrapeErrors},
 			{Name: "slow", Kind: KindSlowJobs},
 		}},
 		Signals: Signals{
@@ -229,8 +224,6 @@ func TestStructuralRules(t *testing.T) {
 			Tenants: func() []TenantStat {
 				return []TenantStat{{Name: "batch", Sheds: sheds}}
 			},
-			Workers:      func() []WorkerStat { return workers },
-			ScrapeErrors: func() (uint64, bool) { return scrapes, true },
 			SlowCaptures: func() (uint64, bool) { return captures, true },
 		},
 		Now: clk.now,
@@ -255,17 +248,14 @@ func TestStructuralRules(t *testing.T) {
 		t.Fatalf("first pass alerts = %+v, want only sat", m)
 	}
 
-	// Second pass: counters grew, heartbeats went stale.
+	// Second pass: counters grew.
 	clk.advance(10 * time.Second)
-	sheds, scrapes, captures = 20, 3, 2
-	workers[1].HeartbeatAge = 8 * time.Second
+	sheds, captures = 20, 2
 	e.EvalOnce()
 	m = byRule()
 	for _, want := range []struct{ rule, subject string }{
 		{"sat", "queue"},
 		{"shed", "batch"},
-		{"stale", "beta"},
-		{"scrape", "federation"},
 		{"slow", "perfmon"},
 	} {
 		a, ok := m[want.rule]
@@ -277,10 +267,9 @@ func TestStructuralRules(t *testing.T) {
 		t.Fatalf("shed rate = %g, want 2", m["shed"].Value)
 	}
 
-	// Draining workers are exempt from staleness.
-	workers[1].Draining = true
+	// Recovery: the queue empties and the counters stop growing.
 	qs.Depth = 0
-	sheds, scrapes, captures = 20, 3, 2 // no growth
+	sheds, captures = 20, 2 // no growth
 	clk.advance(10 * time.Second)
 	e.EvalOnce()
 	m = byRule()
@@ -393,4 +382,22 @@ func TestStartStop(t *testing.T) {
 	}
 	e.Stop()
 	e.Stop() // idempotent
+}
+
+// TestLoadRulesRejectsRetiredKinds: a rules file still naming the removed
+// heartbeat_stale or scrape_errors kinds fails to load with an unknown-kind
+// error instead of loading as a rule that can never fire.
+func TestLoadRulesRejectsRetiredKinds(t *testing.T) {
+	dir := t.TempDir()
+	for _, kind := range []string{"heartbeat_stale", "scrape_errors"} {
+		path := filepath.Join(dir, kind+".json")
+		doc := `{"rules":[{"name":"slow","kind":"slow_jobs"},{"name":"retired","kind":"` + kind + `"}]}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadRules(path)
+		if err == nil || !strings.Contains(err.Error(), `unknown kind "`+kind+`"`) {
+			t.Errorf("LoadRules with kind %s: err = %v, want unknown kind", kind, err)
+		}
+	}
 }

@@ -1,8 +1,7 @@
 // Package metrics owns womd's Prometheus text exposition format and
 // nothing else: the structured Family/Sample form every plane's collector
-// returns, the one writer that renders it for GET /metrics, histogram and
-// summary expansion, and the one lenient parser (federation reads worker
-// expositions with it). There is no live-instrument registry: collectors
+// returns, the one writer that renders it for GET /metrics, and histogram
+// and summary expansion. There is no live-instrument registry: collectors
 // build families at scrape time from the atomics and views they already
 // keep, so no counter is held twice.
 package metrics

@@ -13,7 +13,7 @@ import (
 )
 
 // DefaultMaxCaptures bounds the on-disk profile store: beyond it the oldest
-// capture pair is evicted, so a pathological fleet cannot fill the disk.
+// capture pair is evicted, so a pathological workload cannot fill the disk.
 const DefaultMaxCaptures = 32
 
 // DefaultCPUProfileDuration is how long a slow-job CPU capture samples.
@@ -23,10 +23,10 @@ const DefaultCPUProfileDuration = 500 * time.Millisecond
 type Capture struct {
 	// JobID is the job the capture was taken for.
 	JobID string `json:"job_id"`
-	// TraceID is the job's distributed-trace id (internal/span), so a
+	// TraceID is the job's trace id (internal/span), so a
 	// profile can be joined back to its trace; empty when tracing is off.
 	TraceID string `json:"trace_id,omitempty"`
-	// Reason says why ("slow: 0.12x of fleet median", "deadline").
+	// Reason says why ("slow", "deadline").
 	Reason string `json:"reason"`
 	// Kind is "cpu" or "heap".
 	Kind string `json:"kind"`

@@ -48,9 +48,8 @@ type Item struct {
 	// Tenant names the submitting class; unknown or empty names map to the
 	// config's default tenant.
 	Tenant string
-	// AdmittedAt is the item's first admission time; zero means now. A job
-	// re-dispatched by the cluster layer carries its original admission
-	// time so its deadline does not restart.
+	// AdmittedAt is the item's admission time, from which the tenant's
+	// deadline budget is measured; zero means now.
 	AdmittedAt time.Time
 	// Deadline overrides the tenant's deadline budget when non-zero.
 	Deadline time.Time

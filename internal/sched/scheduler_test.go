@@ -107,8 +107,8 @@ func TestEDFWithinTenant(t *testing.T) {
 }
 
 // TestDeadlineFromBudget: the tenant's deadline budget is measured from
-// the item's admission time, so an older admission (a cluster re-dispatch)
-// jumps ahead of fresher work.
+// the item's admission time, so an older admission jumps ahead of fresher
+// work.
 func TestDeadlineFromBudget(t *testing.T) {
 	s := New(Config{
 		Tenants:  []TenantClass{{Name: "a", DeadlineMs: 1000}},
@@ -116,10 +116,10 @@ func TestDeadlineFromBudget(t *testing.T) {
 	})
 	now := time.Now()
 	s.Enqueue(Item{Tenant: "a", AdmittedAt: now, Payload: "fresh"})
-	s.Enqueue(Item{Tenant: "a", AdmittedAt: now.Add(-5 * time.Second), Payload: "redispatched"})
+	s.Enqueue(Item{Tenant: "a", AdmittedAt: now.Add(-5 * time.Second), Payload: "older"})
 	got := drainN(t, s, 2)
-	if got[0].Payload != "redispatched" {
-		t.Fatalf("first dequeue = %v; re-dispatched job with older admission must run first", got[0].Payload)
+	if got[0].Payload != "older" {
+		t.Fatalf("first dequeue = %v; the job with the older admission must run first", got[0].Payload)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // Config parameterizes a Recorder. The zero value is usable: service
 // "womd", capacity 4096, sample everything, random seed.
 type Config struct {
-	// Service names this process in recorded spans ("coordinator",
-	// "w-001", ...). Defaults to "womd".
+	// Service names this process in recorded spans. Defaults to "womd".
 	Service string
 	// Capacity bounds the span ring; oldest spans are evicted when full.
 	// Defaults to 4096.
@@ -48,9 +47,8 @@ type Recorder struct {
 	idState uint64 // splitmix64 state for id generation
 	seed    uint64
 	ring    []Span
-	head    int                    // next write position
-	count   int                    // live spans in ring
-	byKey   map[[2]string]struct{} // (trace,span) dedup for Ingest
+	head    int // next write position
+	count   int // live spans in ring
 
 	recorded   uint64
 	evicted    uint64
@@ -96,16 +94,7 @@ func New(cfg Config) *Recorder {
 		idState:   cfg.Seed,
 		seed:      cfg.Seed,
 		ring:      make([]Span, cfg.Capacity),
-		byKey:     make(map[[2]string]struct{}),
 	}
-}
-
-// Service returns the service name stamped on this recorder's spans.
-func (r *Recorder) Service() string {
-	if r == nil {
-		return ""
-	}
-	return r.service
 }
 
 // splitmix64 finalizer — also the id-sequence step function.
@@ -214,52 +203,19 @@ func (r *Recorder) Record(parent Context, name string, start, end time.Time, att
 }
 
 // add inserts one completed span, evicting the oldest if the ring is full.
+// Span ids come from this recorder's own sequence, so no two are equal and
+// nothing needs deduplicating.
 func (r *Recorder) add(s Span) {
 	r.mu.Lock()
-	r.insertLocked(s)
-	r.mu.Unlock()
-}
-
-func (r *Recorder) insertLocked(s Span) {
-	key := [2]string{s.TraceID, s.SpanID}
-	if _, dup := r.byKey[key]; dup {
-		return
-	}
 	if r.count == r.capacity {
-		old := r.ring[r.head]
-		delete(r.byKey, [2]string{old.TraceID, old.SpanID})
 		r.evicted++
 	} else {
 		r.count++
 	}
 	r.ring[r.head] = s
 	r.head = (r.head + 1) % r.capacity
-	r.byKey[key] = struct{}{}
 	r.recorded++
-}
-
-// Ingest merges externally recorded spans (a worker's, shipped over the
-// dispatch stream or the /cluster/v1/spans fallback) into the buffer,
-// deduplicating by (trace id, span id) so double delivery is harmless.
-// Returns how many spans were newly inserted.
-func (r *Recorder) Ingest(spans []Span) int {
-	if r == nil || len(spans) == 0 {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	added := 0
-	for _, s := range spans {
-		if len(s.TraceID) != 32 || len(s.SpanID) != 16 {
-			continue
-		}
-		before := r.recorded
-		r.insertLocked(s)
-		if r.recorded != before {
-			added++
-		}
-	}
-	return added
+	r.mu.Unlock()
 }
 
 // Trace returns all buffered spans of one trace, ordered by start time

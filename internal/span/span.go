@@ -1,26 +1,23 @@
-// Package span is womd's lightweight distributed-tracing subsystem: trace
+// Package span is womd's lightweight job-tracing subsystem: trace
 // and span identifiers with parent links, wall-clock start times paired
 // with monotonic durations, typed attributes, a bounded per-process span
 // buffer with deterministic head sampling, and W3C traceparent propagation
 // over HTTP.
 //
 // The model is deliberately small. A trace is identified by a 128-bit id
-// and covers one job's whole lifecycle across processes; a span is one
-// timed operation inside it (admission, queue wait, dispatch RPC, worker
-// execution, result store, SSE fan-out), linked to its parent by span id.
-// Each process records its own spans into a Recorder — a fixed-capacity
-// ring that evicts oldest-first, so tracing can stay always-on without
-// unbounded memory. The keep/drop decision is made once per trace at its
-// head (StartTrace) from a seeded hash of the trace id, and the decision
-// rides the W3C sampled flag across process hops, so a trace is either
-// recorded everywhere or nowhere and a fixed seed yields a fixed keep/drop
+// and covers one job's whole lifecycle; a span is one timed operation
+// inside it (admission, queue wait, execution, result store, SSE fan-out),
+// linked to its parent by span id. The process records its spans into a
+// Recorder — a fixed-capacity ring that evicts oldest-first, so tracing
+// can stay always-on without unbounded memory. The keep/drop decision is
+// made once per trace at its head (StartTrace) from a seeded hash of the
+// trace id, and a trace continued from a client's traceparent inherits
+// the client's sampled flag; a fixed seed yields a fixed keep/drop
 // sequence (testable determinism).
 //
-// Cluster workers ship their buffered spans back to the coordinator
-// (internal/cluster), which merges them via Recorder.Ingest into one
-// per-job trace served as Chrome trace-event JSON (ChromeTraceOf) —
+// A job's trace is served as Chrome trace-event JSON (ChromeTraceOf) —
 // directly loadable in Perfetto, and rendered to an HTML waterfall by
-// `womtool spans`. See DESIGN.md §14.
+// `womtool spans`. See DESIGN.md §13.
 package span
 
 import (
@@ -30,8 +27,8 @@ import (
 
 // Context identifies a position in a trace: the trace id, the id of the
 // current (parent-to-be) span, and whether the trace is being recorded.
-// It is the unit of propagation — across goroutines via values, across
-// processes via the W3C traceparent header (Traceparent / Parse).
+// It is the unit of propagation — across goroutines via values, and from
+// a client via the W3C traceparent header (Traceparent / Parse).
 type Context struct {
 	// TraceID is 32 lowercase hex characters (128 bits), shared by every
 	// span of the trace.
@@ -41,7 +38,7 @@ type Context struct {
 	SpanID string `json:"span_id"`
 	// Sampled is the head-sampling decision, made once when the trace
 	// started and propagated unchanged — an unsampled trace records
-	// nothing in any process.
+	// nothing.
 	Sampled bool `json:"sampled"`
 }
 
@@ -58,20 +55,19 @@ func (c Context) Valid() bool {
 type Attrs map[string]any
 
 // Span is one completed timed operation, the wire and storage form.
-// StartNs is the wall clock (Unix nanoseconds, comparable across
-// processes up to clock skew); DurNs was measured on the recording
-// process's monotonic clock, so a span's duration is immune to wall-clock
-// steps even though its placement is not.
+// StartNs is the wall clock (Unix nanoseconds); DurNs was measured on the
+// monotonic clock, so a span's duration is immune to wall-clock steps even
+// though its placement is not.
 type Span struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
 	// Parent is the parent span's id; empty for a trace's root span.
 	Parent string `json:"parent_id,omitempty"`
 	// Name says what the span timed: "job", "admission", "queue_wait",
-	// "dispatch", "execute", "store", "sse_stream", ...
+	// "execute", "store", "sse_stream", ...
 	Name string `json:"name"`
-	// Service names the process that recorded the span (Recorder service):
-	// "coordinator", a worker's fleet name, "womd" standalone.
+	// Service names the process that recorded the span (Recorder
+	// service), "womd" by default.
 	Service string `json:"service"`
 	StartNs int64  `json:"start_ns"`
 	DurNs   int64  `json:"dur_ns"`

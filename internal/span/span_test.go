@@ -118,9 +118,6 @@ func TestNilRecorderAndSpanAreInert(t *testing.T) {
 	if tc := root.Context(); tc.Valid() {
 		t.Fatalf("nil span has a valid context")
 	}
-	if got := rec.Ingest([]Span{{TraceID: "x"}}); got != 0 {
-		t.Fatalf("nil recorder ingested %d", got)
-	}
 }
 
 func TestSpanParentLinksAndEndIdempotence(t *testing.T) {
@@ -170,7 +167,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 
 	r, _ := http.NewRequest("GET", "http://x/", nil)
-	tc.Inject(r.Header)
+	r.Header.Set(Header, tc.Traceparent())
 	got, ok = FromRequest(r)
 	if !ok || got != tc {
 		t.Fatalf("header round trip: %+v ok=%v", got, ok)
@@ -197,28 +194,6 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	// Future version with extra suffix is accepted (forward compat).
 	if _, ok := ParseTraceparent("01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra"); !ok {
 		t.Errorf("future-version traceparent rejected")
-	}
-}
-
-func TestIngestDedup(t *testing.T) {
-	rec := New(Config{Seed: 13})
-	spans := []Span{
-		{TraceID: strings.Repeat("a", 32), SpanID: strings.Repeat("1", 16), Name: "execute", Service: "w-001", StartNs: 100, DurNs: 50},
-		{TraceID: strings.Repeat("a", 32), SpanID: strings.Repeat("2", 16), Name: "job", Service: "w-001", StartNs: 90, DurNs: 80},
-	}
-	if got := rec.Ingest(spans); got != 2 {
-		t.Fatalf("first ingest added %d, want 2", got)
-	}
-	// Double delivery (DoneFrame + fallback POST) must be harmless.
-	if got := rec.Ingest(spans); got != 0 {
-		t.Fatalf("second ingest added %d, want 0", got)
-	}
-	if got := rec.Ingest([]Span{{TraceID: "bogus", SpanID: "x", Name: "junk"}}); got != 0 {
-		t.Fatalf("malformed ingest added %d", got)
-	}
-	tr := rec.Trace(strings.Repeat("a", 32))
-	if len(tr) != 2 || tr[0].Name != "job" || tr[1].Name != "execute" {
-		t.Fatalf("trace order wrong: %+v", tr)
 	}
 }
 
@@ -277,12 +252,14 @@ func TestChromeTraceOf(t *testing.T) {
 func TestRecordRetroactive(t *testing.T) {
 	rec := New(Config{Seed: 17})
 	root := rec.StartTrace("job")
+	// The root ends (and enters the buffer) first; Trace still orders the
+	// earlier-starting queue_wait span ahead of it.
+	root.End()
 	start := time.Now().Add(-10 * time.Millisecond)
 	ctx := rec.Record(root.Context(), "queue_wait", start, start.Add(4*time.Millisecond), Attrs{"tenant": "t1"})
 	if !ctx.Valid() {
 		t.Fatalf("Record returned invalid context")
 	}
-	root.End()
 	spans := rec.Trace(root.Context().TraceID)
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans", len(spans))

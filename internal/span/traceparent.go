@@ -56,11 +56,3 @@ func ParseTraceparent(v string) (Context, bool) {
 func FromRequest(r *http.Request) (Context, bool) {
 	return ParseTraceparent(r.Header.Get(Header))
 }
-
-// Inject writes the context's traceparent header into h; no-op for an
-// invalid context.
-func (c Context) Inject(h http.Header) {
-	if tp := c.Traceparent(); tp != "" {
-		h.Set(Header, tp)
-	}
-}

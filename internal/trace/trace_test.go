@@ -276,6 +276,42 @@ func TestCollectSizedPresizes(t *testing.T) {
 	}
 }
 
+// TestCollectSizedFirstChunk checks that a size is trusted only as far as
+// the records that back it: a size claiming 4M records over a 10-record
+// body reserves at most presizeRecords, an honest stream larger than the
+// first chunk still ends with cap == len, and records past a claim that
+// was too small are all kept.
+func TestCollectSizedFirstChunk(t *testing.T) {
+	recs, bin := binTrace(t, 10)
+	claim := int64(binHeaderSize + binRecordSize*(4<<20))
+	got, err := CollectSized(bytes.NewReader(bin), claim, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) || cap(got) > presizeRecords {
+		t.Errorf("4M-record claim over 10 records: len %d cap %d, want 10 records and cap <= %d",
+			len(got), cap(got), presizeRecords)
+	}
+	for _, n := range []int{presizeRecords + 1, 100_000, 300_000} {
+		recs, bin := binTrace(t, n)
+		got, err := CollectSized(bytes.NewReader(bin), int64(len(bin)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n || cap(got) != n || !reflect.DeepEqual(got, recs) {
+			t.Errorf("honest %d-record stream: len %d cap %d, want cap == len == %d", n, len(got), cap(got), n)
+		}
+	}
+	recs, bin = binTrace(t, 1000)
+	got, err = CollectSized(bytes.NewReader(bin), binHeaderSize+binRecordSize*10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Errorf("stream longer than its size: got %d records, want %d", len(got), len(recs))
+	}
+}
+
 // TestCollectSizedGrowsAsBefore checks that text streams and streams of
 // unknown size (a chunked upload) decode exactly as an unsized Collect over
 // NewAutoReader does.
@@ -310,7 +346,9 @@ func TestCollectSizedGrowsAsBefore(t *testing.T) {
 }
 
 // TestCollectSizedAllocs pins the decode cost: a presized binary upload
-// allocates its readers and one record slice, nothing per record.
+// allocates its readers and one record slice, nothing per record. Past the
+// first chunk, a 100k-record upload (perfbench's replay trace) costs one
+// more slice: the doubling stops at its claimed count.
 func TestCollectSizedAllocs(t *testing.T) {
 	_, bin := binTrace(t, 5000)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -320,5 +358,14 @@ func TestCollectSizedAllocs(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Errorf("decoding 5000 records allocates %v times, want a constant handful", allocs)
+	}
+	_, big := binTrace(t, 100_000)
+	bigAllocs := testing.AllocsPerRun(5, func() {
+		if _, err := CollectSized(bytes.NewReader(big), int64(len(big)), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bigAllocs > allocs+1 {
+		t.Errorf("decoding 100k records allocates %v times, want at most one more than 5000 records (%v)", bigAllocs, allocs)
 	}
 }

@@ -1,6 +1,5 @@
 // Package tsdb is womd's embedded metrics history: a small time-series
-// store that records the process's own metric families (including
-// federated womd_fleet_* families on a coordinator) on a fixed interval,
+// store that records the process's own metric families on a fixed interval,
 // holds recent samples in Gorilla-style compressed chunks, downsamples
 // them through retention tiers that preserve min/max/sum/count and
 // reset-aware counter increase, and persists sealed chunks, aggregate

@@ -1,20 +1,20 @@
 #!/usr/bin/env sh
-# loadgen_smoke.sh — end-to-end multi-tenant load check against a real womd.
+# tenants_smoke.sh — end-to-end multi-tenant scheduling check against a
+# real womd.
 #
-# Builds womd and womtool, starts womd with the example tenant config,
-# drives a short open-loop Poisson run through `womtool loadgen` with the
-# interactive tenant's queue-wait SLO asserted, verifies the report schema,
-# and exercises the SIGHUP config hot-reload path. The report lands at
-# $1 (default ./loadgen-report.json) so CI can keep it as an artifact.
+# Builds womd, starts it with the example tenant config, submits a few
+# small jobs for the interactive tenant with curl, verifies they land in
+# the per-tenant admission counter on /metrics, and exercises the SIGHUP
+# config hot-reload path.
 #
-# Usage: scripts/loadgen_smoke.sh [report-path] [port]
+# Usage: scripts/tenants_smoke.sh [port]
 set -eu
 
-REPORT="${1:-loadgen-report.json}"
-PORT="${2:-18090}"
+PORT="${1:-18090}"
 URL="http://127.0.0.1:${PORT}"
 WORKDIR="$(mktemp -d)"
 WOMD_PID=""
+JOBS=3
 
 cleanup() {
     [ -n "$WOMD_PID" ] && kill "$WOMD_PID" 2>/dev/null || true
@@ -43,9 +43,8 @@ wait_for() {
     fail "$what (no match for '$pattern' at $url)"
 }
 
-echo "==> building womd and womtool"
+echo "==> building womd"
 go build -o "$WORKDIR/womd" ./cmd/womd
-go build -o "$WORKDIR/womtool" ./cmd/womtool
 
 echo "==> starting womd on :$PORT with examples/multitenant/tenants.json"
 "$WORKDIR/womd" -addr ":$PORT" -tenants examples/multitenant/tenants.json \
@@ -54,18 +53,18 @@ WOMD_PID=$!
 wait_for "$URL/v1/experiments" '"fig5"' "womd never came up"
 wait_for "$URL/v1/tenants" '"interactive"' "tenant scheduler not active"
 
-echo "==> open-loop Poisson run (SLO asserted for the interactive tenant)"
-"$WORKDIR/womtool" loadgen -url "$URL" -mix examples/multitenant/smoke-mix.json \
-    -o "$REPORT" -assert-slo interactive \
-    || fail "loadgen run or SLO assertion failed"
-grep -q '"schema": *"womcpcm-loadgen-v1"' "$REPORT" \
-    || fail "report at $REPORT missing the womcpcm-loadgen-v1 schema"
-grep -q '"slo_attained": *true' "$REPORT" \
-    || fail "report does not record interactive SLO attainment"
+echo "==> submitting $JOBS interactive jobs"
+i=1
+while [ "$i" -le "$JOBS" ]; do
+    curl -fsS -X POST "$URL/v1/jobs" -d \
+        "{\"experiment\":\"fig5\",\"tenant\":\"interactive\",\"params\":{\"requests\":2000,\"seed\":$i,\"bench\":[\"qsort\"],\"ranks\":4}}" \
+        >/dev/null || fail "submit $i rejected"
+    i=$((i + 1))
+done
 
 echo "==> tenant metrics exposed on /metrics"
-curl -fsS "$URL/metrics" | grep -q 'womd_tenant_admitted_total{tenant="interactive"}' \
-    || fail "womd_tenant_* families missing from /metrics"
+wait_for "$URL/metrics" "womd_tenant_admitted_total{tenant=\"interactive\"} $JOBS" \
+    "interactive admissions missing from womd_tenant_admitted_total"
 
 echo "==> SIGHUP hot-reload keeps the scheduler serving"
 kill -HUP "$WOMD_PID"
@@ -74,4 +73,4 @@ wait_for "$URL/v1/tenants" '"best-effort"' "scheduler unavailable after SIGHUP"
 grep -q 'tenant config reloaded' "$WORKDIR/womd.log" \
     || fail "womd log missing the reload confirmation"
 
-echo "==> OK: loadgen report at $REPORT"
+echo "==> OK: $JOBS interactive jobs admitted, SIGHUP reload served"
