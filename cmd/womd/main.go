@@ -9,19 +9,21 @@
 // share one execution, and /v1/results, /v1/baselines, and /v1/compare
 // expose the cache, pinned baselines, and regression reports.
 //
-// With -tenants FILE the daemon replaces its FIFO queue with a multi-tenant
-// SLO scheduler (internal/sched): weighted-fair dequeue across tenant
-// classes, earliest-deadline-first within one, and graduated load shedding
-// whose 429s carry a Retry-After computed from the observed drain rate.
-// GET /v1/tenants shows live per-tenant state, womd_tenant_* families
-// appear on /metrics, and SIGHUP re-reads the file without dropping queued
-// work.
+// Jobs wait in one multi-tenant SLO scheduler (internal/sched):
+// weighted-fair dequeue across tenant classes, earliest-deadline-first
+// within one, and graduated load shedding whose 429s carry a Retry-After
+// computed from the observed drain rate. Without -tenants it serves one
+// implicit tenant, "default", bounded at -queue jobs: a FIFO that sheds
+// with reason queue_full. With -tenants FILE it serves the file's tenant
+// classes, and SIGHUP re-reads the file without dropping queued work.
+// GET /v1/tenants shows live per-tenant state, and womd_tenant_* families
+// appear on /metrics.
 //
 // Performance observability is on by default: every job carries a host-time
 // perf record (wall clock, simulated events/sec, allocation, CPU) surfaced
-// in its JobView and as womd_job_* histograms on /metrics, and a
-// runtime/metrics poller exports womd_runtime_* families (-runtime-metrics
-// interval, 0 disables; -no-perf disables per-job accounting). With
+// in its JobView and as womd_job_* histograms on /metrics, and each scrape
+// reads runtime/metrics into womd_runtime_* families (-no-perf disables
+// per-job accounting). With
 // -profile-dir DIR a monitor goroutine captures CPU+heap pprof profiles
 // from jobs that fall behind their peers or near their deadline, served under
 // /v1/jobs/{id}/profiles.
@@ -102,8 +104,8 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
-		queue      = flag.Int("queue", 64, "job queue depth; full queue returns HTTP 429")
-		tenants    = flag.String("tenants", "", "tenant scheduling config (JSON); enables multi-tenant SLO scheduling, hot-reloaded on SIGHUP")
+		queue      = flag.Int("queue", 64, "job queue depth of the implicit default tenant; full queue returns HTTP 429")
+		tenants    = flag.String("tenants", "", "tenant scheduling config (JSON) replacing the implicit default tenant, hot-reloaded on SIGHUP")
 		timeout    = flag.Duration("timeout", 15*time.Minute, "default per-job timeout (0 = none)")
 		drain      = flag.Duration("drain", 2*time.Minute, "graceful drain budget on shutdown")
 		maxRecords = flag.Int("max-trace-records", 4<<20, "per-upload trace record cap")
@@ -113,7 +115,6 @@ func main() {
 		debug      = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of logfmt-style text")
 		noPerf     = flag.Bool("no-perf", false, "disable per-job host-time accounting (womd_job_events_per_second and friends)")
-		pollEvery  = flag.Duration("runtime-metrics", perfmon.DefaultPollInterval, "runtime/metrics poll interval for womd_runtime_* gauges (0 = off)")
 		profileDir = flag.String("profile-dir", "", "directory for automatic slow-job pprof captures (empty = off)")
 		profileMax = flag.Int("profile-max", perfmon.DefaultMaxCaptures, "retained profile capture cap; oldest evicted past it")
 		slowFrac   = flag.Float64("slow-fraction", 0.25, "profile a job whose rolling events/sec falls below this fraction of the running jobs' median")
@@ -225,23 +226,22 @@ func main() {
 	}
 	// Alerting exemplars must be wired before the engine is built so job
 	// settles feed them; the health engine itself comes after the
-	// scheduler exists, since its signals read it.
+	// manager exists, since its signals read the manager's scheduler.
 	var exemplars *health.Exemplars
 	if *alerts {
 		exemplars = health.NewExemplars()
 		cfg.Exemplars = exemplars
 	}
-	// Multi-tenant SLO scheduling: replace the FIFO queue with the
-	// weighted-fair scheduler and hot-reload its config on SIGHUP.
-	var scheduler *sched.Scheduler
+	// Tenant classes from -tenants replace the implicit default tenant
+	// (engine.Config.Scheduler) and hot-reload on SIGHUP.
 	if *tenants != "" {
 		scfg, err := sched.LoadConfig(*tenants)
 		if err != nil {
 			logger.Error("loading tenant config", "path", *tenants, "error", err)
 			os.Exit(1)
 		}
-		scheduler = sched.New(scfg)
-		cfg.Queue = engine.NewTenantQueue(scheduler)
+		scheduler := sched.New(scfg)
+		cfg.Scheduler = scheduler
 		logger.Info("multi-tenant scheduling enabled", "path", *tenants,
 			"tenants", len(scfg.Tenants), "default_tenant", scfg.DefaultTenant,
 			"max_depth", scfg.MaxDepth)
@@ -266,11 +266,11 @@ func main() {
 		}()
 	}
 	mgr := engine.New(cfg)
-	// SLO/health alerting: continuous rule evaluation over whichever signal
-	// planes this process has (engine queue always; scheduler tenants when
-	// configured). GET /v1/alerts serves the alert set, womd_alert_*
-	// families land on /metrics, and SIGHUP re-reads -alert-rules without
-	// dropping firing state.
+	scheduler := mgr.Scheduler()
+	// SLO/health alerting: continuous rule evaluation over the engine
+	// queue and the scheduler's tenants. GET /v1/alerts serves the alert
+	// set, womd_alert_* families land on /metrics, and SIGHUP re-reads
+	// -alert-rules without dropping firing state.
 	var alertEngine *health.Engine
 	if *alerts {
 		rules := health.DefaultRules()
@@ -284,20 +284,14 @@ func main() {
 		}
 		sig := health.Signals{
 			Queue: func() (health.QueueStat, bool) {
-				r := mgr.Readiness(0)
+				r := mgr.Readiness()
 				return health.QueueStat{
 					Depth:    r.QueueDepth,
 					Cap:      r.QueueCap,
-					Rejected: mgr.Metrics().Rejected.Load(),
 					Draining: r.Draining,
 				}, true
 			},
-			SlowCaptures: func() (uint64, bool) {
-				return mgr.Metrics().ProfilesCaptured.Load(), true
-			},
-		}
-		if scheduler != nil {
-			sig.Tenants = func() []health.TenantStat {
+			Tenants: func() []health.TenantStat {
 				views := scheduler.Views()
 				out := make([]health.TenantStat, 0, len(views))
 				for _, v := range views {
@@ -307,8 +301,11 @@ func main() {
 					})
 				}
 				return out
-			}
-			sig.TenantSLO = scheduler.WindowSLO
+			},
+			TenantSLO: scheduler.WindowSLO,
+			SlowCaptures: func() (uint64, bool) {
+				return mgr.Metrics().ProfilesCaptured.Load(), true
+			},
 		}
 		hcfg := health.Config{
 			Rules:     rules,
@@ -338,9 +335,7 @@ func main() {
 			// reinstall journaled active alerts before the first evaluation
 			// pass, so a restart neither drops firing incidents nor waits a
 			// full SLO window to notice them again.
-			if scheduler != nil {
-				backfillSLO(scheduler, histDB, logger)
-			}
+			backfillSLO(scheduler, histDB, logger)
 			if active := histDB.ActiveAlerts(); len(active) > 0 {
 				views := make([]health.AlertView, 0, len(active))
 				for _, tr := range active {
@@ -383,12 +378,9 @@ func main() {
 
 	// Collectors register in /metrics order: runtime, alerts, spans,
 	// tenants, history.
-	opts := []engine.ServerOption{engine.WithLogger(logger)}
-	if *pollEvery > 0 {
-		poller := perfmon.NewPoller(*pollEvery)
-		poller.Start()
-		defer poller.Stop()
-		opts = append(opts, engine.WithCollector(poller.Collect))
+	opts := []engine.ServerOption{
+		engine.WithLogger(logger),
+		engine.WithCollector(perfmon.CollectRuntime),
 	}
 	if alertEngine != nil {
 		opts = append(opts,
@@ -398,9 +390,7 @@ func main() {
 	if tracer != nil {
 		opts = append(opts, engine.WithCollector(tracer.Collect))
 	}
-	if scheduler != nil {
-		opts = append(opts, engine.WithCollector(scheduler.Collect))
-	}
+	opts = append(opts, engine.WithCollector(scheduler.Collect))
 	if histDB != nil {
 		opts = append(opts,
 			engine.WithHistory(histDB),

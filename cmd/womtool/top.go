@@ -18,8 +18,8 @@ import (
 )
 
 // topSnapshot is one poll of a womd instance's ops surface. Sections the
-// target does not serve (no tenants without -tenants, no alerts with
-// -alerts=false) stay nil and render as absent
+// target does not serve (no alerts with -alerts=false, no history with
+// -history=false) stay nil and render as absent
 // rather than failing the whole frame.
 type topSnapshot struct {
 	At       time.Time

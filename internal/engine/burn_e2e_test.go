@@ -37,7 +37,7 @@ func TestOverloadFiresFastBurnAlert(t *testing.T) {
 	hold := make(chan struct{})
 	mgr := New(Config{
 		Workers:   2,
-		Queue:     NewTenantQueue(s),
+		Scheduler: s,
 		Exemplars: ex,
 		Tracer:    span.New(span.Config{Service: "burn-e2e", Seed: 11}),
 		// Execution cost is not under test: every job returns at once

@@ -84,6 +84,10 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 	if second.State != StateSucceeded || !second.Cached {
 		t.Fatalf("second submit view = %+v, want cached+succeeded", second)
 	}
+	// A hit is attributed to the same resolved tenant as the miss.
+	if first.Tenant != "default" || second.Tenant != "default" {
+		t.Errorf("tenants: miss %q, hit %q, want default for both", first.Tenant, second.Tenant)
+	}
 	var got sim.Fig5Result
 	resultData(t, pollResult(t, ts, second.ID), &got)
 	if got.MeanWrite != want.MeanWrite || got.MeanRead != want.MeanRead {
@@ -172,8 +176,8 @@ func TestSingleflightDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := follower.View(); v.DedupOf != leader.ID() {
-		t.Fatalf("follower dedup_of = %q, want %q", v.DedupOf, leader.ID())
+	if v := follower.View(); v.DedupOf != leader.ID() || v.Tenant != "default" {
+		t.Fatalf("follower dedup_of = %q tenant %q, want %q and default", v.DedupOf, v.Tenant, leader.ID())
 	}
 	// An independently canceled follower must not be resurrected by the
 	// leader's success.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"womcpcm/internal/health"
+	"womcpcm/internal/sched"
 	"womcpcm/internal/sim"
 )
 
@@ -158,7 +159,9 @@ func TestAlertRoutes(t *testing.T) {
 // plane's exemplar store as jobs finish.
 func TestExemplarObservedOnSettle(t *testing.T) {
 	ex := health.NewExemplars()
-	mgr := New(Config{Workers: 1, QueueDepth: 4, Exemplars: ex})
+	mgr := New(Config{Workers: 1, Exemplars: ex, Scheduler: sched.New(sched.Config{
+		Tenants: []sched.TenantClass{{Name: "alpha"}},
+	})})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()

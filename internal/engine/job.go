@@ -48,8 +48,8 @@ type JobRequest struct {
 	// TimeoutMs bounds the run; 0 selects the manager's default.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// Tenant names the scheduling class this submission bills to; unknown
-	// or empty names map to the default tenant. Ignored (but recorded in
-	// the JobView) when womd runs without -tenants.
+	// or empty names map to the default tenant ("default" when womd runs
+	// without -tenants). The JobView reports the resolved name.
 	Tenant string `json:"tenant,omitempty"`
 }
 
@@ -66,9 +66,8 @@ type Job struct {
 	dedupOf string // leader job id this submission was folded into
 	reqID   string // submitting request's id, carried into lifecycle logs
 	// tenant is the scheduling class the job was admitted under: the
-	// canonical name resolved by the tenant queue, or the raw request
-	// tenant on the default FIFO. Written only before the job is visible
-	// to workers (Submit/Enqueue), so reads need no lock.
+	// scheduler's canonical name for the request's tenant, resolved in
+	// Submit before the job is visible to workers, so reads need no lock.
 	tenant string
 
 	// trace is the root "job" span's position in the job's trace: the

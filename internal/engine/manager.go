@@ -30,14 +30,16 @@ type Config struct {
 	// per-job Parallelism down when raising Workers.
 	Workers int
 	// QueueDepth bounds jobs waiting for a worker (default 64). A full
-	// queue rejects submissions (HTTP 429) instead of queueing unbounded.
-	// Ignored when Queue is set — the queue implementation owns its bound.
+	// queue rejects submissions (HTTP 429, reason queue_full) instead of
+	// queueing unbounded. Ignored when Scheduler is set — its config's
+	// max_depth owns the bound.
 	QueueDepth int
-	// Queue replaces the pending-job buffer; nil selects the default FIFO
-	// of QueueDepth, byte-compatible with the pre-pluggable behavior. womd
-	// -tenants installs NewTenantQueue here for multi-tenant SLO
-	// scheduling.
-	Queue Queue
+	// Scheduler is the pending-job queue (internal/sched). nil builds one
+	// implicit tenant "default" — weight 1, no deadline, no caps, bounded
+	// at QueueDepth — which serves jobs in submission order. womd -tenants
+	// passes the scheduler built from its tenant file and keeps it for
+	// SIGHUP reloads.
+	Scheduler *sched.Scheduler
 	// DefaultTimeout bounds jobs that do not request their own timeout;
 	// 0 means no default bound.
 	DefaultTimeout time.Duration
@@ -110,6 +112,12 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
+	if c.Scheduler == nil {
+		c.Scheduler = sched.New(sched.Config{
+			Tenants:  []sched.TenantClass{{Name: defaultTenant, Weight: 1}},
+			MaxDepth: c.QueueDepth,
+		})
+	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 4096
 	}
@@ -143,8 +151,6 @@ var (
 	ErrTooManyJobs = errors.New("engine: too many retained jobs")
 	// ErrNotFound reports an unknown job or trace id.
 	ErrNotFound = errors.New("engine: not found")
-	// ErrNoTenants rejects tenant routes when womd runs without -tenants.
-	ErrNoTenants = errors.New("engine: tenant scheduling not configured (start womd with -tenants)")
 	// ErrNoTracer rejects trace routes when tracing is disabled.
 	ErrNoTracer = errors.New("engine: tracing not configured (start womd with -trace-spans > 0)")
 	// ErrNoAlerts rejects alert routes when alerting is disabled.
@@ -167,7 +173,7 @@ type Manager struct {
 	jobs     map[string]*Job
 	seq      uint64
 	draining bool
-	queue    Queue
+	sched    *sched.Scheduler
 	// inflight tracks one leader job per content key so identical
 	// concurrent submissions share a single execution.
 	inflight map[string]*flight
@@ -190,10 +196,6 @@ type flight struct {
 // New starts a manager and its worker pool.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	queue := cfg.Queue
-	if queue == nil {
-		queue = newFIFOQueue(cfg.QueueDepth)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:      cfg,
@@ -204,7 +206,7 @@ func New(cfg Config) *Manager {
 		baseCtx:  ctx,
 		abort:    cancel,
 		jobs:     make(map[string]*Job),
-		queue:    queue,
+		sched:    cfg.Scheduler,
 		inflight: make(map[string]*flight),
 	}
 	for w := 0; w < cfg.Workers; w++ {
@@ -234,20 +236,14 @@ func (m *Manager) Profiles() *perfmon.ProfileStore { return m.cfg.Profiles }
 // Tracer exposes the span recorder; nil when tracing is off.
 func (m *Manager) Tracer() *span.Recorder { return m.cfg.Tracer }
 
-// TenantViews snapshots per-tenant scheduling state when the manager runs
-// on a tenant-aware queue; ErrNoTenants otherwise (the default FIFO).
-func (m *Manager) TenantViews() ([]sched.TenantView, error) {
-	if tq, ok := m.queue.(interface{ Views() []sched.TenantView }); ok {
-		return tq.Views(), nil
-	}
-	return nil, ErrNoTenants
-}
+// Scheduler exposes the job queue: per-tenant views, the womd_tenant_*
+// collector, SLO windows, and Reload.
+func (m *Manager) Scheduler() *sched.Scheduler { return m.sched }
 
-// QueueStats reports the pending queue's occupancy and admission bound
-// (capacity 0 = unbounded) — the saturation signal for readiness and
-// alerting.
+// QueueStats reports the pending queue's occupancy and admission bound —
+// the saturation signal for readiness and alerting.
 func (m *Manager) QueueStats() (depth, capacity int) {
-	return m.queue.Depth(), m.queue.Cap()
+	return m.sched.Depth(), m.sched.MaxDepth()
 }
 
 // DefaultReadySaturation is the queue-occupancy fraction at which
@@ -268,12 +264,9 @@ type Readiness struct {
 }
 
 // Readiness reports whether this process should receive new work: false
-// while draining or when the queue is at or past saturation×capacity.
-// saturation ≤ 0 selects DefaultReadySaturation.
-func (m *Manager) Readiness(saturation float64) Readiness {
-	if saturation <= 0 {
-		saturation = DefaultReadySaturation
-	}
+// while draining or when the queue is at or past
+// DefaultReadySaturation×capacity.
+func (m *Manager) Readiness() Readiness {
 	m.mu.Lock()
 	draining := m.draining
 	m.mu.Unlock()
@@ -282,7 +275,7 @@ func (m *Manager) Readiness(saturation float64) Readiness {
 	switch {
 	case draining:
 		r.Ready, r.Reason = false, "draining"
-	case capacity > 0 && float64(depth) >= saturation*float64(capacity):
+	case capacity > 0 && float64(depth) >= DefaultReadySaturation*float64(capacity):
 		r.Ready, r.Reason = false,
 			fmt.Sprintf("queue saturated (%d of %d)", depth, capacity)
 	}
@@ -324,6 +317,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 	}
 	reqID := RequestIDFrom(ctx)
+	tenant := m.sched.Canonical(req.Tenant)
 
 	// Content-address the request when the store can serve or dedup it.
 	var key string
@@ -376,7 +370,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 			job := &Job{
 				id: fmt.Sprintf("j-%06d", m.seq), seq: m.seq,
 				exp: exp, req: req, params: params, timeout: timeout,
-				key: key, cached: true, reqID: reqID, tenant: req.Tenant,
+				key: key, cached: true, reqID: reqID, tenant: tenant,
 				trace: root.Context(),
 				state: StateSucceeded, result: entry.Result,
 				submitted: now, started: now, finished: now,
@@ -402,7 +396,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 			job := &Job{
 				id: fmt.Sprintf("j-%06d", m.seq), seq: m.seq,
 				exp: exp, req: req, params: params, timeout: timeout,
-				key: key, dedupOf: fl.leader.id, reqID: reqID, tenant: req.Tenant,
+				key: key, dedupOf: fl.leader.id, reqID: reqID, tenant: tenant,
 				trace: root.Context(), rootSpan: root,
 				state: StateQueued, submitted: time.Now(),
 				hub: newStreamHub(m.metrics),
@@ -431,7 +425,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		timeout:       timeout,
 		key:           key,
 		reqID:         reqID,
-		tenant:        req.Tenant,
+		tenant:        tenant,
 		trace:         root.Context(),
 		rootSpan:      root,
 		traceEnqueued: enq,
@@ -439,7 +433,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		submitted:     enq,
 		hub:           newStreamHub(m.metrics),
 	}
-	if err := m.queue.Enqueue(job); err != nil {
+	if err := m.enqueue(job); err != nil {
 		m.seq-- // id not spent
 		m.metrics.Rejected.Add(1)
 		// Stamp shed rejections with the trace id so the 429 body can be
@@ -526,7 +520,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.draining {
 		m.draining = true
-		m.queue.Close() // safe: submitters enqueue under m.mu and check draining
+		m.sched.Close() // safe: submitters enqueue under m.mu and check draining
 		if m.monStop != nil {
 			close(m.monStop)
 		}
@@ -555,13 +549,16 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
-		job, ok := m.queue.Dequeue()
+		it, ok := m.sched.Dequeue()
 		if !ok {
 			return
 		}
+		job := it.Payload.(*Job)
 		m.metrics.QueueDepth.Add(-1)
 		m.runJob(job)
-		m.queue.Done(job)
+		// it.Tenant is the tenant the scheduler charged; it differs from
+		// job.tenant only if a reload removed that tenant mid-Submit.
+		m.sched.Done(it.Tenant)
 	}
 }
 

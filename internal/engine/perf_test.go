@@ -247,17 +247,14 @@ func TestProfileRoutesUnconfigured(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetricsExposition wires a poller into the server and holds the
-// scrape to the strict exposition contract: every womd_runtime_* family from
-// RuntimeMetricNames appears with a TYPE line and at least one sample, and
-// the whole body still parses strictly.
+// TestRuntimeMetricsExposition wires the runtime collector into the server
+// and holds the scrape to the strict exposition contract: every
+// womd_runtime_* family from RuntimeMetricNames appears with a TYPE line
+// and at least one sample, and the whole body still parses strictly.
 func TestRuntimeMetricsExposition(t *testing.T) {
-	poller := perfmon.NewPoller(50 * time.Millisecond)
-	poller.Start()
-	defer poller.Stop()
 	mgr := New(Config{Workers: 1, QueueDepth: 4})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	srv := NewServer(mgr, WithCollector(poller.Collect))
+	srv := NewServer(mgr, WithCollector(perfmon.CollectRuntime))
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

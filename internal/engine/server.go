@@ -41,7 +41,7 @@ import (
 //	GET    /v1/traces           list uploads
 //	DELETE /v1/traces/{id}      drop an upload
 //	GET    /v1/experiments      list the experiment registry
-//	GET    /v1/tenants          per-tenant scheduler state (womd -tenants)
+//	GET    /v1/tenants          per-tenant scheduler state
 //	GET    /v1/results          list cached results (when a store is wired)
 //	GET    /v1/results/{key}    one cached result, full body
 //	POST   /v1/baselines        pin a named baseline snapshot {"name": "..."}
@@ -59,12 +59,14 @@ type Server struct {
 	mux        *http.ServeMux
 	log        *slog.Logger
 	debug      bool
-	heartbeat  time.Duration
 	collectors []func() []metrics.Family
 	alerts     *health.Engine
 	history    *tsdb.DB
-	readySat   float64
 }
+
+// sseHeartbeat spaces the comment frames that keep idle SSE streams from
+// being reaped by proxies and let the server notice dead clients.
+const sseHeartbeat = 15 * time.Second
 
 // ServerOption configures NewServer.
 type ServerOption func(*Server)
@@ -84,17 +86,6 @@ func WithLogger(l *slog.Logger) ServerOption {
 // behind its -debug flag.
 func WithDebug() ServerOption {
 	return func(s *Server) { s.debug = true }
-}
-
-// WithHeartbeat overrides the SSE heartbeat interval (default 15s): the
-// comment frames that keep idle streams from being reaped by proxies and
-// let the server notice dead clients. Tests shorten it.
-func WithHeartbeat(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.heartbeat = d
-		}
-	}
 }
 
 // WithCollector appends a plane's metric families to GET /metrics, after
@@ -120,20 +111,9 @@ func WithAlerts(h *health.Engine) ServerOption {
 	}
 }
 
-// WithReadySaturation overrides the queue-occupancy fraction at which
-// GET /readyz flips to 503 (default DefaultReadySaturation).
-func WithReadySaturation(frac float64) ServerOption {
-	return func(s *Server) {
-		if frac > 0 {
-			s.readySat = frac
-		}
-	}
-}
-
 // NewServer wires the routes over m.
 func NewServer(m *Manager, opts ...ServerOption) *Server {
-	s := &Server{m: m, mux: http.NewServeMux(), log: slog.New(slog.DiscardHandler),
-		heartbeat: 15 * time.Second}
+	s := &Server{m: m, mux: http.NewServeMux(), log: slog.New(slog.DiscardHandler)}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -297,8 +277,8 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrNotFound), errors.Is(err, resultstore.ErrNoBaseline):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrNoStore), errors.Is(err, ErrNoProfiles),
-		errors.Is(err, ErrNoTenants), errors.Is(err, ErrNoTracer),
-		errors.Is(err, ErrNoAlerts), errors.Is(err, ErrNoHistory):
+		errors.Is(err, ErrNoTracer), errors.Is(err, ErrNoAlerts),
+		errors.Is(err, ErrNoHistory):
 		status = http.StatusNotImplemented
 	}
 	var se *sched.ShedError
@@ -529,15 +509,9 @@ func (s *Server) listExperiments(w http.ResponseWriter, _ *http.Request) {
 }
 
 // listTenants serves GET /v1/tenants: per-tenant scheduling state (depth,
-// in-flight, sheds by reason, SLO attainment, queue-wait quantiles). 501
-// when womd runs without -tenants.
+// in-flight, sheds by reason, SLO attainment, queue-wait quantiles).
 func (s *Server) listTenants(w http.ResponseWriter, _ *http.Request) {
-	views, err := s.m.TenantViews()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"tenants": views})
+	writeJSON(w, http.StatusOK, map[string]any{"tenants": s.m.Scheduler().Views()})
 }
 
 // requireStore resolves the result store or reports ErrNoStore.
@@ -733,7 +707,7 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 // saturated process is still alive (do not restart it) but should stop
 // receiving new work (503). Load balancers poll this.
 func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
-	rd := s.m.Readiness(s.readySat)
+	rd := s.m.Readiness()
 	status := http.StatusOK
 	if !rd.Ready {
 		status = http.StatusServiceUnavailable

@@ -194,7 +194,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request) {
 		}
 		sseEvents++
 	}
-	heartbeat := time.NewTicker(s.heartbeat)
+	heartbeat := time.NewTicker(sseHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {

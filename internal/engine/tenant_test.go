@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,8 +55,8 @@ type shedBody struct {
 	RetryAfterS int64  `json:"retry_after_s"`
 }
 
-// TestFIFOQueueFullRetryAfter: even without tenant scheduling, a full-queue
-// 429 carries a Retry-After header and a machine-readable reason.
+// TestFIFOQueueFullRetryAfter: without a tenant config, a full-queue 429
+// carries a Retry-After header and a machine-readable reason.
 func TestFIFOQueueFullRetryAfter(t *testing.T) {
 	mgr, _ := blockingManager(t, Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(NewServer(mgr))
@@ -98,7 +99,8 @@ func TestFIFOQueueFullRetryAfter(t *testing.T) {
 	}
 }
 
-// TestTenantsRouteUnconfigured: GET /v1/tenants is 501 on the default FIFO.
+// TestTenantsRouteUnconfigured: without a tenant config, GET /v1/tenants
+// lists the one implicit tenant, "default", bounded at QueueDepth.
 func TestTenantsRouteUnconfigured(t *testing.T) {
 	mgr := New(Config{Workers: 1, QueueDepth: 2})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
@@ -109,11 +111,108 @@ func TestTenantsRouteUnconfigured(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("GET /v1/tenants = %d without -tenants, want 501", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/tenants = %d without a tenant config, want 200", resp.StatusCode)
 	}
-	if _, err := mgr.TenantViews(); !errors.Is(err, ErrNoTenants) {
-		t.Fatalf("TenantViews err = %v, want ErrNoTenants", err)
+	var listing struct {
+		Tenants []sched.TenantView `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Tenants) != 1 || listing.Tenants[0].Name != "default" ||
+		listing.Tenants[0].Weight != 1 || listing.Tenants[0].DeadlineMs != 0 {
+		t.Fatalf("tenant views = %+v, want the one implicit default tenant", listing.Tenants)
+	}
+	if depth, capacity := mgr.QueueStats(); depth != 0 || capacity != 2 {
+		t.Fatalf("QueueStats = %d/%d, want 0/2", depth, capacity)
+	}
+}
+
+// TestDefaultQueueFIFO: without a tenant config, one worker starts jobs in
+// submission order, and the (QueueDepth+2)-th submission — one running,
+// QueueDepth queued — gets a 429 with reason queue_full.
+func TestDefaultQueueFIFO(t *testing.T) {
+	const depth = 4
+	var (
+		mu      sync.Mutex
+		started []string
+	)
+	block := make(chan struct{})
+	var release sync.Once
+	mgr := New(Config{Workers: 1, QueueDepth: depth,
+		run: func(ctx context.Context, job *Job) (*sim.Result, error) {
+			mu.Lock()
+			started = append(started, job.ID())
+			mu.Unlock()
+			select {
+			case <-block:
+				return &sim.Result{Experiment: job.exp.Name}, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}})
+	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+	// Unblock before the deferred Shutdown waits, on failure paths too.
+	defer release.Do(func() { close(block) })
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	post := func() (*http.Response, []byte) {
+		t.Helper()
+		body, _ := json.Marshal(JobRequest{Experiment: "fig5", Params: fastParams()})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, raw
+	}
+	var ids []string
+	for i := 0; i < depth+1; i++ {
+		resp, raw := post()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d %s, want 202", i, resp.StatusCode, raw)
+		}
+		var view JobView
+		if err := json.Unmarshal(raw, &view); err != nil {
+			t.Fatal(err)
+		}
+		if view.Tenant != "default" {
+			t.Errorf("submit %d: tenant %q, want default", i, view.Tenant)
+		}
+		ids = append(ids, view.ID)
+		if i == 0 {
+			// The first job holds the only worker before the rest queue.
+			for mgr.Metrics().Running.Load() != 1 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	resp, raw := post()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit %d: status %d %s, want 429", depth+2, resp.StatusCode, raw)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After header")
+	}
+	var shed shedBody
+	if err := json.Unmarshal(raw, &shed); err != nil {
+		t.Fatal(err)
+	}
+	if shed.Reason != "queue_full" || shed.Tenant != "default" || shed.RetryAfterS < 1 {
+		t.Errorf("shed body = %+v, want queue_full of tenant default", shed)
+	}
+
+	release.Do(func() { close(block) })
+	for _, id := range ids {
+		waitTerminal(t, mgr, id)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(started, ids) {
+		t.Fatalf("start order %v, want submission order %v", started, ids)
 	}
 }
 
@@ -140,8 +239,8 @@ type TenantClassAlias = sched.TenantClass
 func TestTenantQueueEndToEnd(t *testing.T) {
 	scheduler := sched.New(tenantTestConfig())
 	mgr, release := blockingManager(t, Config{
-		Workers: 1,
-		Queue:   NewTenantQueue(scheduler),
+		Workers:   1,
+		Scheduler: scheduler,
 	})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
@@ -253,7 +352,7 @@ func TestSubmitRejectsAdmittedAt(t *testing.T) {
 		MaxDepth: 8,
 		Tenants:  []sched.TenantClass{{Name: "interactive", Weight: 1, DeadlineMs: 50}},
 	})
-	mgr, _ := blockingManager(t, Config{Workers: 1, Queue: NewTenantQueue(s)})
+	mgr, _ := blockingManager(t, Config{Workers: 1, Scheduler: s})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 

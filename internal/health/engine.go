@@ -12,7 +12,6 @@ import (
 type QueueStat struct {
 	Depth    int
 	Cap      int // 0 = unbounded/unknown; saturation rules skip it
-	Rejected uint64
 	Draining bool
 }
 
@@ -26,12 +25,10 @@ type TenantStat struct {
 }
 
 // Signals wires the evaluator to the rest of the process. Every field is
-// optional — a nil func means that signal plane is not configured (e.g.
-// no Tenants without -tenants) and rules over it never produce
-// violations.
+// optional — a nil func means that signal plane is not configured and
+// rules over it never produce violations.
 type Signals struct {
-	// Queue reports engine queue occupancy (queue_saturation, and the
-	// service-wide shed_rate fallback when no tenants are configured).
+	// Queue reports engine queue occupancy (queue_saturation).
 	Queue func() (QueueStat, bool)
 	// Tenants lists scheduler tenants (burn_rate and shed_rate subjects).
 	Tenants func() []TenantStat
@@ -439,50 +436,29 @@ func (e *Engine) queueSaturation(out []violation, r *Rule) []violation {
 }
 
 func (e *Engine) shedRate(out []violation, r *Rule, now time.Time) []violation {
-	sig := e.cfg.Signals
-	if sig.Tenants != nil {
-		for _, t := range sig.Tenants() {
-			if r.Tenant != "" && r.Tenant != t.Name {
-				continue
-			}
-			rate, ok := e.counterRate("shed\x00"+t.Name, float64(t.Sheds), now)
-			if !ok || rate <= r.Threshold {
-				continue
-			}
-			v := violation{
-				rule: r.Name, base: r.Name, subject: t.Name,
-				severity: r.Severity, value: rate, threshold: r.Threshold,
-				forDur: r.forDur(), keep: r.keepDur(),
-				ann: map[string]string{
-					"summary": fmt.Sprintf("tenant %s shedding %.1f jobs/s", t.Name, rate),
-				},
-			}
-			e.annotateExemplar(v.ann, "shed:tenant:"+t.Name, "shed", "service")
-			out = append(out, v)
+	if e.cfg.Signals.Tenants == nil {
+		return out
+	}
+	for _, t := range e.cfg.Signals.Tenants() {
+		if r.Tenant != "" && r.Tenant != t.Name {
+			continue
 		}
-		return out
+		rate, ok := e.counterRate("shed\x00"+t.Name, float64(t.Sheds), now)
+		if !ok || rate <= r.Threshold {
+			continue
+		}
+		v := violation{
+			rule: r.Name, base: r.Name, subject: t.Name,
+			severity: r.Severity, value: rate, threshold: r.Threshold,
+			forDur: r.forDur(), keep: r.keepDur(),
+			ann: map[string]string{
+				"summary": fmt.Sprintf("tenant %s shedding %.1f jobs/s", t.Name, rate),
+			},
+		}
+		e.annotateExemplar(v.ann, "shed:tenant:"+t.Name, "shed", "service")
+		out = append(out, v)
 	}
-	if sig.Queue == nil {
-		return out
-	}
-	qs, ok := sig.Queue()
-	if !ok {
-		return out
-	}
-	rate, ok := e.counterRate("shed\x00service", float64(qs.Rejected), now)
-	if !ok || rate <= r.Threshold {
-		return out
-	}
-	v := violation{
-		rule: r.Name, base: r.Name, subject: "service",
-		severity: r.Severity, value: rate, threshold: r.Threshold,
-		forDur: r.forDur(), keep: r.keepDur(),
-		ann: map[string]string{
-			"summary": fmt.Sprintf("service rejecting %.1f jobs/s at admission", rate),
-		},
-	}
-	e.annotateExemplar(v.ann, "shed", "service")
-	return append(out, v)
+	return out
 }
 
 // counterRateRule handles the single-subject cumulative-counter kinds.

@@ -8,7 +8,7 @@
 // Three layers:
 //
 //	Span / JobRecord    per-job accounting via runtime/metrics deltas
-//	Poller              womd_runtime_* gauges for /metrics
+//	CollectRuntime      womd_runtime_* families, read at scrape time
 //	ProfileStore        pprof captures of slow jobs
 //
 // The disabled path follows the probe's contract: a nil *Span is inert —

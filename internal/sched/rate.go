@@ -2,12 +2,12 @@ package sched
 
 import "time"
 
-// RateTracker observes dequeue times and estimates a queue's drain rate as
+// rateTracker observes dequeue times and estimates a queue's drain rate as
 // an EWMA of inter-dequeue intervals. Shed responses turn it into a
 // Retry-After: how long until the backlog excess ahead of a retried
-// submission will have drained. It is unsynchronized — callers (the
-// scheduler, the engine's FIFO queue) guard it with their own lock.
-type RateTracker struct {
+// submission will have drained. It is unsynchronized — the scheduler
+// guards it with its own lock.
+type rateTracker struct {
 	last   time.Time
 	ewmaNs float64 // smoothed nanoseconds per dequeue; 0 = no observation yet
 }
@@ -17,7 +17,7 @@ type RateTracker struct {
 const ewmaAlpha = 0.2
 
 // Observe records one dequeue at t.
-func (r *RateTracker) Observe(t time.Time) {
+func (r *rateTracker) Observe(t time.Time) {
 	if !r.last.IsZero() {
 		iv := float64(t.Sub(r.last).Nanoseconds())
 		if iv < 1 {
@@ -36,7 +36,7 @@ func (r *RateTracker) Observe(t time.Time) {
 // [minRetryAfter, maxRetryAfter]. With no drain observed yet (a queue that
 // filled before anything was dequeued) it reports the minimum — the
 // honest answer is "soon, probably", not a 60 s lockout.
-func (r *RateTracker) RetryAfter(excess int) time.Duration {
+func (r *rateTracker) RetryAfter(excess int) time.Duration {
 	if excess < 1 {
 		excess = 1
 	}

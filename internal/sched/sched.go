@@ -1,6 +1,8 @@
-// Package sched is womd's multi-tenant SLO-aware scheduler: the layer
-// between HTTP admission and execution that replaces the engine's single
-// FIFO queue when a tenant configuration is loaded (womd -tenants).
+// Package sched is womd's multi-tenant SLO-aware scheduler: the engine's
+// one job queue, between HTTP admission and execution. Without a tenant
+// configuration (womd -tenants) the engine runs it with one implicit
+// tenant, "default" — weight 1, priority 0, no deadline, no caps — which is
+// a FIFO bounded at MaxDepth that sheds with reason "queue_full".
 //
 // Tenants are named classes with a weight (fair-share ratio), a priority
 // (shed order under saturation — lower numbers shed last), an optional
@@ -19,10 +21,9 @@
 // observed drain rate, so clients back off proportionally to the real
 // backlog instead of guessing.
 //
-// The scheduler is payload-agnostic (Item.Payload is opaque); the engine
-// adapts it behind its Queue interface. Reload swaps tenant definitions at
-// runtime (womd re-reads the config on SIGHUP) without dropping queued
-// work.
+// The scheduler is payload-agnostic (Item.Payload is opaque; the engine
+// queues its jobs there). Reload swaps tenant definitions at runtime (womd
+// re-reads the config on SIGHUP) without dropping queued work.
 package sched
 
 import (

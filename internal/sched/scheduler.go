@@ -127,7 +127,7 @@ type Scheduler struct {
 	depth  int
 	seq    uint64
 	closed bool
-	drain  RateTracker
+	drain  rateTracker
 	now    func() time.Time // test clock hook
 }
 

@@ -402,7 +402,7 @@ func TestSLOAccounting(t *testing.T) {
 // TestRetryAfterTracksDrainRate: with an observed drain rate, the
 // Retry-After scales with the backlog excess.
 func TestRetryAfterTracksDrainRate(t *testing.T) {
-	var r RateTracker
+	var r rateTracker
 	if got := r.RetryAfter(10); got != minRetryAfter {
 		t.Fatalf("cold tracker RetryAfter = %v, want %v", got, minRetryAfter)
 	}

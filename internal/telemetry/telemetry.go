@@ -169,7 +169,8 @@ type Series struct {
 	// reordering); they are excluded from Windows but not silently dropped.
 	LateEvents uint64 `json:"late_events,omitempty"`
 	// Windows is the dense series: every index from 0 through the last
-	// active window, quiet windows included.
+	// active window, quiet windows included. Empty when the collector
+	// streamed its windows through Options.OnWindow instead.
 	Windows []Window `json:"windows"`
 }
 
@@ -212,8 +213,10 @@ type Options struct {
 	// energy.Default().
 	Energy *energy.Model
 	// OnWindow, when set, receives each window as it finalizes — the live
-	// streaming hook (womd's SSE endpoint). Finalized windows are retained
-	// either way; Finish delivers the tail.
+	// streaming hook (womd's SSE endpoint) — and Finish delivers the tail
+	// the same way. A streaming collector retains no windows, so its
+	// Series carries none; without OnWindow, every window is retained for
+	// the Series.
 	OnWindow func(Window)
 }
 
@@ -313,7 +316,7 @@ type Collector struct {
 	lastIndex int64 // window of the last timestamp index looked up
 	watermark Clock // highest event end time seen
 	late      uint64
-	done      []Window
+	done      []Window // retained windows; only without Options.OnWindow
 }
 
 // New builds a collector.
@@ -411,8 +414,8 @@ func (c *Collector) advance(end Clock) {
 }
 
 // finalize seals window c.nextFinal (empty windows included, keeping the
-// series dense), hands it to OnWindow and recycles its accumulator as the
-// ring's last slot.
+// series dense), hands it to OnWindow or retains it, and recycles its
+// accumulator as the ring's last slot.
 func (c *Collector) finalize() {
 	idx := c.nextFinal
 	a := c.wins[c.head]
@@ -437,9 +440,10 @@ func (c *Collector) finalize() {
 		w.EnergyPJ = c.price(a)
 		a.reset()
 	}
-	c.done = append(c.done, w)
 	if c.opts.OnWindow != nil {
 		c.opts.OnWindow(w)
+	} else {
+		c.done = append(c.done, w)
 	}
 }
 
@@ -538,7 +542,8 @@ func (c *Collector) span(ev probe.Event) {
 	}
 }
 
-// Finish finalizes every remaining window and returns the completed series.
+// Finish finalizes every remaining window and returns the completed series
+// (without windows when they streamed through Options.OnWindow).
 // simulatedNs stamps the run's end time; arch labels it. The collector must
 // not be used afterwards.
 func (c *Collector) Finish(arch string, simulatedNs int64) *Series {

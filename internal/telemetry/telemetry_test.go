@@ -215,8 +215,11 @@ func TestOnWindowStreamsInOrder(t *testing.T) {
 	}
 	mid := len(streamed)
 	s := finish(c)
-	if len(streamed) != len(s.Windows) {
-		t.Fatalf("streamed %d windows, series has %d", len(streamed), len(s.Windows))
+	if len(streamed) != 10 {
+		t.Fatalf("streamed %d windows, want 10 (dense 0..9)", len(streamed))
+	}
+	if len(s.Windows) != 0 {
+		t.Errorf("streaming collector retained %d windows, want none", len(s.Windows))
 	}
 	if mid >= len(streamed) {
 		t.Errorf("expected Finish to deliver the tail (streamed %d mid-run, %d total)", mid, len(streamed))
@@ -327,7 +330,8 @@ func (s oracleStream) generate(seed int64) []probe.Event {
 
 // TestCollectorMatchesMapOracle feeds the same seeded streams to the ring
 // collector and to the map-based oracle it replaced, and requires identical
-// OnWindow sequences and Series: spans crossing many windows, negative
+// OnWindow sequences from a streaming collector and identical Series from a
+// retaining one: spans crossing many windows, negative
 // times, cache arrays (Bank -1), late events, windows narrower than a span
 // and the paper's 16 ranks × 32 banks.
 func TestCollectorMatchesMapOracle(t *testing.T) {
@@ -352,21 +356,31 @@ func TestCollectorMatchesMapOracle(t *testing.T) {
 			evs := s.generate(seed)
 			var gotWins, wantWins []Window
 			opts := Options{WindowNs: s.width, Banks: s.ranks * (s.banks + 1), Energy: s.energy}
-			opts.OnWindow = func(w Window) { gotWins = append(gotWins, w) }
+			// The Series path: no OnWindow, so the collector retains windows.
 			c := New(opts)
+			// The streamed path: windows go to OnWindow and are not retained.
+			opts.OnWindow = func(w Window) { gotWins = append(gotWins, w) }
+			cs := New(opts)
 			opts.OnWindow = func(w Window) { wantWins = append(wantWins, w) }
 			o := newMapCollector(opts)
 			for i, ev := range evs {
 				c.Record(ev)
+				cs.Record(ev)
 				o.Record(ev)
 				if len(gotWins) != len(wantWins) {
 					t.Fatalf("%s seed %d: after event %d (%+v) %d windows streamed, oracle %d",
 						s.name, seed, i, ev, len(gotWins), len(wantWins))
 				}
 			}
-			got, want := c.Finish("a", 42), o.Finish("a", 42)
+			got, streamed, want := c.Finish("a", 42), cs.Finish("a", 42), o.Finish("a", 42)
 			if !same(gotWins, wantWins) {
 				t.Errorf("%s seed %d: OnWindow sequences differ", s.name, seed)
+			}
+			if len(streamed.Windows) != 0 {
+				t.Errorf("%s seed %d: streaming collector retained %d windows", s.name, seed, len(streamed.Windows))
+			}
+			if streamed.LateEvents != want.LateEvents {
+				t.Errorf("%s seed %d: streamed late events %d, oracle %d", s.name, seed, streamed.LateEvents, want.LateEvents)
 			}
 			if !same(got, want) {
 				for i := range want.Windows {
@@ -385,10 +399,9 @@ func TestCollectorMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestCollectorRecordAllocs pins the warm collector's steady state: once its
-// ring and per-bank storage have grown, Record allocates nothing. The only
-// remaining allocation is the retained series' amortized doubling, which
-// AllocsPerRun's per-run average rounds away.
+// TestCollectorRecordAllocs pins the warm streaming collector's steady
+// state: once its ring and per-bank storage have grown, Record allocates
+// nothing, and it retains no windows that could grow.
 func TestCollectorRecordAllocs(t *testing.T) {
 	const w = 1000
 	c := New(Options{WindowNs: w, Banks: 16 * 33, OnWindow: func(Window) {}})

@@ -4,7 +4,9 @@
 # Builds womd, starts it standalone with a tiny queue and an aggressive
 # alert-rules file (200ms evaluation, queue_saturation at 50%), then
 # saturates the queue with slow fig5 jobs and asserts the full operator
-# surface reacts: GET /readyz flips to 503, the queue-hot alert reaches
+# surface reacts: GET /v1/tenants lists the implicit "default" tenant, the
+# overflowing submission gets a 429 with a Retry-After header and reason
+# queue_full, GET /readyz flips to 503, the queue-hot alert reaches
 # "firing" on GET /v1/alerts with the saturation rule named, and the
 # womd_alert_* families count the transition on /metrics. Leaves
 # alerts-smoke.json (the firing alert list) in the working directory for
@@ -68,18 +70,32 @@ wait_for "$BASE/v1/experiments" '"fig5"' "womd never came up"
 
 curl -fsS "$BASE/readyz" | grep -q '"ready": *true' \
     || fail "/readyz not ready on an idle daemon"
+curl -fsS "$BASE/v1/tenants" | grep -q '"name": *"default"' \
+    || fail "/v1/tenants does not list the implicit default tenant"
 
 echo "==> saturating the queue with slow jobs"
 # One job occupies the single worker; the rest sit in the depth-4 queue,
 # holding occupancy over both the 50% alert threshold and the 90%
-# readiness threshold. Overflow 429s are expected and ignored.
+# readiness threshold. Six submissions overflow it: the last 429 is kept.
 i=0
+shed=""
 while [ "$i" -lt 6 ]; do
-    curl -fsS -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' \
-        -d '{"experiment":"fig5","params":{"requests":30000000,"bench":["qsort"],"ranks":4,"seed":'"$i"'}}' \
-        >/dev/null 2>&1 || true
+    code=$(curl -sS -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' \
+        -D "$WORKDIR/submit.headers" -o "$WORKDIR/submit.json" -w '%{http_code}' \
+        -d '{"experiment":"fig5","params":{"requests":30000000,"bench":["qsort"],"ranks":4,"seed":'"$i"'}}') \
+        || fail "submission $i failed"
+    if [ "$code" = "429" ]; then
+        shed=$i
+        cp "$WORKDIR/submit.headers" "$WORKDIR/shed.headers"
+        cp "$WORKDIR/submit.json" "$WORKDIR/shed.json"
+    fi
     i=$((i + 1))
 done
+[ -n "$shed" ] || fail "six submissions to a depth-4 queue drew no 429"
+grep -qi '^Retry-After: *[1-9]' "$WORKDIR/shed.headers" \
+    || fail "429 without a Retry-After header: $(cat "$WORKDIR/shed.headers")"
+grep -q '"reason": *"queue_full"' "$WORKDIR/shed.json" \
+    || fail "429 body lacks reason queue_full: $(cat "$WORKDIR/shed.json")"
 
 echo "==> waiting for readiness to flip"
 i=0
@@ -113,4 +129,4 @@ echo "$prom" | grep -q 'womd_alert_firing{rule="queue-hot",subject="queue"} 1' \
 echo "$prom" | grep -q 'womd_alert_transitions_total{state="firing"} [1-9]' \
     || fail "firing transition counter missing"
 
-echo "==> OK: saturation flipped /readyz, fired queue-hot, and landed on /metrics"
+echo "==> OK: overflow shed with queue_full, saturation flipped /readyz, fired queue-hot, and landed on /metrics"
