@@ -54,13 +54,7 @@ func graphCmd(args []string) {
 	if *metrics != "" {
 		names = strings.Split(*metrics, ",")
 	}
-	stepMs := step.Milliseconds()
-	if stepMs <= 0 {
-		stepMs = (*window / 120).Milliseconds()
-	}
-	if stepMs < 1000 {
-		stepMs = 1000
-	}
+	stepMs := graphStepMs(*window, *step)
 	end := time.Now()
 	start := end.Add(-*window)
 
@@ -88,10 +82,6 @@ func graphCmd(args []string) {
 		resp, err := client.Get(strings.TrimRight(*base, "/") + "/v1/query_range?" + q.Encode())
 		if err != nil {
 			fatal(err)
-		}
-		if resp.StatusCode == http.StatusNotImplemented {
-			resp.Body.Close()
-			fatal(fmt.Errorf("%s has no metric history (womd -history=false?)", *base))
 		}
 		var body struct {
 			Series []tsdb.SeriesResult `json:"series"`
@@ -122,6 +112,19 @@ func graphCmd(args []string) {
 		fmt.Printf(", no data: %s", strings.Join(skipped, " "))
 	}
 	fmt.Println(")")
+}
+
+// graphStepMs picks the query resolution: step, or window/120 when step
+// is 0, at least 1 s, and coarse enough that the grid womd walks stays
+// within tsdb.MaxQueryPoints (the window is sent in whole seconds, so
+// allow one more).
+func graphStepMs(window, step time.Duration) int64 {
+	stepMs := step.Milliseconds()
+	if stepMs <= 0 {
+		stepMs = (window / 120).Milliseconds()
+	}
+	minMs := (window.Milliseconds()+1000)/tsdb.MaxQueryPoints + 1
+	return max(stepMs, minMs, 1000)
 }
 
 const (

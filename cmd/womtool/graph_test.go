@@ -98,3 +98,28 @@ func TestRenderGraphHTML(t *testing.T) {
 		t.Fatalf("empty dashboard:\n%s", empty.String())
 	}
 }
+
+// TestGraphStepBounded: however small -step is, the query grid stays
+// within womd's point limit, and the defaults are unchanged.
+func TestGraphStepBounded(t *testing.T) {
+	for _, tc := range []struct {
+		window, step time.Duration
+		want         int64
+	}{
+		{time.Hour, 0, 30_000},              // window/120
+		{time.Hour, time.Millisecond, 1000}, // 1 s floor
+		{10 * time.Minute, 5 * time.Second, 5000},
+	} {
+		if got := graphStepMs(tc.window, tc.step); got != tc.want {
+			t.Errorf("graphStepMs(%v, %v) = %d, want %d", tc.window, tc.step, got, tc.want)
+		}
+	}
+	for _, window := range []time.Duration{24 * time.Hour, 7 * 24 * time.Hour, 30 * 24 * time.Hour} {
+		stepMs := graphStepMs(window, time.Millisecond)
+		// The widest range the request can carry: window plus one second
+		// of rounding to whole seconds.
+		if n := (window.Milliseconds() + 1000) / stepMs; n > tsdb.MaxQueryPoints {
+			t.Errorf("window %v, -step 1ms: %d points exceed %d", window, n, tsdb.MaxQueryPoints)
+		}
+	}
+}

@@ -18,18 +18,16 @@ import (
 )
 
 // topSnapshot is one poll of a womd instance's ops surface. Sections the
-// target does not serve (no alerts with -alerts=false, no history with
-// -history=false) stay nil and render as absent
-// rather than failing the whole frame.
+// target does not serve (404) or that fail to load stay nil and render as
+// absent rather than failing the whole frame.
 type topSnapshot struct {
-	At       time.Time
-	Ready    *engine.Readiness
-	Tenants  []sched.TenantView
-	AlertsOn bool // /v1/alerts answered; a healthy empty list still counts
-	Alerts   []health.AlertView
-	Counts   map[health.State]int
-	Sparks   []sparkline // metric-history sparklines; nil without -history
-	Errs     []string
+	At      time.Time
+	Ready   *engine.Readiness
+	Tenants []sched.TenantView
+	Alerts  []health.AlertView
+	Counts  map[health.State]int
+	Sparks  []sparkline // metric-history sparklines
+	Errs    []string
 }
 
 // sparkline is one history-fed trend row: label plus the queried points,
@@ -43,7 +41,7 @@ type sparkline struct {
 // topCmd drives `womtool top`: a live ops dashboard over GET /v1/tenants,
 // /v1/alerts, and /readyz — firing alerts first, then tenant load, then
 // ten-minute sparklines from the target's metric
-// history when it runs with -history. -once prints a single frame and
+// history. -once prints a single frame and
 // exits 2 if any alert is firing, so smoke tests and cron wrappers can
 // gate on the exit code; -html re-renders a self-refreshing HTML
 // snapshot instead.
@@ -85,9 +83,9 @@ func topCmd(args []string) {
 	}
 }
 
-// topGet decodes one endpoint into out. ok=false (no error recorded) means
-// the endpoint is not enabled on the target; transport failures and other
-// statuses are reported.
+// topGet decodes one endpoint into out. ok=false with no error recorded
+// means the target does not serve the endpoint (404); transport failures
+// and other statuses are reported.
 func topGet(client *http.Client, url string, out any, errs *[]string) bool {
 	resp, err := client.Get(url)
 	if err != nil {
@@ -97,7 +95,7 @@ func topGet(client *http.Client, url string, out any, errs *[]string) bool {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-	case http.StatusNotImplemented, http.StatusNotFound:
+	case http.StatusNotFound:
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		return false
 	default:
@@ -137,7 +135,6 @@ func pollTop(client *http.Client, base string) topSnapshot {
 		Counts map[health.State]int `json:"counts"`
 	}
 	if topGet(client, base+"/v1/alerts", &alerts, &snap.Errs) {
-		snap.AlertsOn = true
 		snap.Alerts = alerts.Alerts
 		snap.Counts = alerts.Counts
 	}
@@ -157,8 +154,8 @@ var sparkQueries = []struct {
 }
 
 // pollSparks fetches ten minutes of history at 30s resolution for the
-// sparkline rows. A target without -history (501) yields nil and the
-// section renders as absent; labeled series are summed into one trend.
+// sparkline rows. A query the target does not answer yields no row;
+// labeled series are summed into one trend.
 func pollSparks(client *http.Client, base string, now time.Time) []sparkline {
 	var out []sparkline
 	for _, q := range sparkQueries {
@@ -242,9 +239,6 @@ func renderTop(w io.Writer, snap topSnapshot) {
 	fmt.Fprintf(w, "\nALERTS  firing %d  pending %d  resolved %d\n",
 		snap.Counts[health.StateFiring], snap.Counts[health.StatePending],
 		snap.Counts[health.StateResolved])
-	if !snap.AlertsOn {
-		fmt.Fprintln(w, "  (alerting not enabled)")
-	}
 	for _, a := range snap.Alerts {
 		line := fmt.Sprintf("  %-8s %-28s %-14s %s  for %s",
 			strings.ToUpper(string(a.State)), a.Rule, a.Subject, a.Severity,

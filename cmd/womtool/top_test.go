@@ -65,20 +65,6 @@ func TestTopPollAndRender(t *testing.T) {
 			t.Errorf("frame missing %q:\n%s", want, frame)
 		}
 	}
-	if strings.Contains(frame, "(alerting not enabled)") {
-		t.Errorf("alerting is enabled on the fake; frame says otherwise:\n%s", frame)
-	}
-
-	// A healthy daemon serves an empty alert list ("alerts": null); that is
-	// enabled-and-quiet, not disabled.
-	quiet := snap
-	quiet.Alerts, quiet.Counts = nil, nil
-	var quietOut strings.Builder
-	renderTop(&quietOut, quiet)
-	if strings.Contains(quietOut.String(), "(alerting not enabled)") {
-		t.Errorf("empty alert list rendered as disabled:\n%s", quietOut.String())
-	}
-
 	var page strings.Builder
 	renderTopHTML(&page, snap, 2*time.Second)
 	if !strings.Contains(page.String(), `http-equiv="refresh" content="2"`) {
@@ -89,14 +75,15 @@ func TestTopPollAndRender(t *testing.T) {
 	}
 }
 
-// TestTopDegradesGracefully: a plain womd (no tenants, no alerts) still renders a frame instead of erroring out.
+// TestTopDegradesGracefully: a target that serves only /readyz (every
+// other route 404s) still renders a frame instead of erroring out.
 func TestTopDegradesGracefully(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"ready":true,"draining":false,"queue_depth":0,"queue_cap":64}`)) //nolint:errcheck
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"not implemented"}`, http.StatusNotImplemented)
+		http.Error(w, `{"error":"not found"}`, http.StatusNotFound)
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -105,13 +92,13 @@ func TestTopDegradesGracefully(t *testing.T) {
 	if len(snap.Errs) != 0 {
 		t.Fatalf("poll errors: %v", snap.Errs)
 	}
-	if snap.Tenants != nil || snap.Alerts != nil {
-		t.Fatalf("501 sections should be absent: %+v", snap)
+	if snap.Tenants != nil || snap.Alerts != nil || snap.Sparks != nil {
+		t.Fatalf("404 sections should be absent: %+v", snap)
 	}
 	var out strings.Builder
 	renderTop(&out, snap)
-	if !strings.Contains(out.String(), "(alerting not enabled)") {
-		t.Errorf("frame missing alerting-disabled note:\n%s", out.String())
+	if !strings.Contains(out.String(), "ALERTS  firing 0") {
+		t.Errorf("frame missing the alerts header:\n%s", out.String())
 	}
 }
 

@@ -109,6 +109,19 @@ func TestMemoryOverhead(t *testing.T) {
 	if got := mk(WCPCM).MemoryOverhead(0.5); math.Abs(got-0.046875) > 1e-12 {
 		t.Errorf("WCPCM overhead = %v, want 0.046875", got)
 	}
+	// The closed form (1+0.5)/N_bank holds at every bank count, not only
+	// the paper's 32.
+	for _, banks := range []int{8, 16, 32, 64} {
+		g := pcm.DefaultGeometry()
+		g.BanksPerRank = banks
+		s, err := NewSystem(WCPCM, Options{Geometry: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.MemoryOverhead(0.5), (1+0.5)/float64(banks); math.Abs(got-want) > 1e-12 {
+			t.Errorf("WCPCM overhead at %d banks/rank = %v, want %v", banks, got, want)
+		}
+	}
 }
 
 // TestSystemsReproduceOrdering is the miniature Fig. 5 shape check: on a

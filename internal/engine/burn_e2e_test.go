@@ -33,13 +33,19 @@ func TestOverloadFiresFastBurnAlert(t *testing.T) {
 			{Name: "batch", Weight: 1},
 		},
 	})
-	ex := health.NewExemplars()
 	hold := make(chan struct{})
 	mgr := New(Config{
 		Workers:   2,
 		Scheduler: s,
-		Exemplars: ex,
 		Tracer:    span.New(span.Config{Service: "burn-e2e", Seed: 11}),
+		AlertRules: health.RulesConfig{Rules: []health.Rule{{
+			Name:      "interactive-slo",
+			Kind:      health.KindBurnRate,
+			Tenant:    "interactive",
+			Objective: 0.5,
+			FastBurn:  1.5,
+			SlowBurn:  50, // keep the slow pair quiet; the fast pair is under test
+		}}},
 		// Execution cost is not under test: every job returns at once
 		// after the workers are released.
 		run: func(ctx context.Context, job *Job) (*sim.Result, error) {
@@ -61,35 +67,10 @@ func TestOverloadFiresFastBurnAlert(t *testing.T) {
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
 	defer release()
 
-	he, err := health.NewEngine(health.Config{
-		Rules: health.RulesConfig{Rules: []health.Rule{{
-			Name:      "interactive-slo",
-			Kind:      health.KindBurnRate,
-			Tenant:    "interactive",
-			Objective: 0.5,
-			FastBurn:  1.5,
-			SlowBurn:  50, // keep the slow pair quiet; the fast pair is under test
-		}}},
-		Signals: health.Signals{
-			Tenants: func() []health.TenantStat {
-				views := s.Views()
-				out := make([]health.TenantStat, 0, len(views))
-				for _, v := range views {
-					out = append(out, health.TenantStat{
-						Name: v.Name, Depth: v.Depth,
-						Sheds: v.Sheds, DeadlineMs: v.DeadlineMs,
-					})
-				}
-				return out
-			},
-			TenantSLO: s.WindowSLO,
-		},
-		Exemplars: ex,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(mgr, WithAlerts(he)))
+	// The manager's own alert engine, wired to its scheduler, evaluates
+	// the rule; the test drives passes by hand.
+	he := mgr.Alerts()
+	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
 	seed := int64(1000)

@@ -107,25 +107,9 @@ func TestAlertRoutes(t *testing.T) {
 	mgr := New(Config{Workers: 1, QueueDepth: 4})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
 
-	// Without WithAlerts the routes refuse like the other optional planes.
-	bare := httptest.NewServer(NewServer(mgr))
-	defer bare.Close()
-	resp, err := http.Get(bare.URL + "/v1/alerts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("alerts without engine = %d, want 501", resp.StatusCode)
-	}
-
-	he, err := health.NewEngine(health.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(mgr, WithAlerts(he)))
+	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
-	resp, err = http.Get(ts.URL + "/v1/alerts")
+	resp, err := http.Get(ts.URL + "/v1/alerts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +142,7 @@ func TestAlertRoutes(t *testing.T) {
 // TestExemplarObservedOnSettle checks the engine feeds the alerting
 // plane's exemplar store as jobs finish.
 func TestExemplarObservedOnSettle(t *testing.T) {
-	ex := health.NewExemplars()
-	mgr := New(Config{Workers: 1, Exemplars: ex, Scheduler: sched.New(sched.Config{
+	mgr := New(Config{Workers: 1, Scheduler: sched.New(sched.Config{
 		Tenants: []sched.TenantClass{{Name: "alpha"}},
 	})})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
@@ -174,6 +157,7 @@ func TestExemplarObservedOnSettle(t *testing.T) {
 	}
 	pollResult(t, ts, view.ID)
 
+	ex := mgr.exemplars
 	got, ok := ex.Get("service")
 	if !ok || got.JobID != view.ID {
 		t.Fatalf("service exemplar = %+v ok=%v, want job %s", got, ok, view.ID)
@@ -183,17 +167,11 @@ func TestExemplarObservedOnSettle(t *testing.T) {
 	}
 }
 
-// TestObserveExemplarDisabledZeroAlloc pins the acceptance contract:
-// -alerts=false adds zero allocations to the job hot path — the settle
-// hook is one nil pointer check.
-func TestObserveExemplarDisabledZeroAlloc(t *testing.T) {
-	mgr := New(Config{Workers: 1, QueueDepth: 1})
-	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	job := &Job{id: "j-000001", tenant: "alpha"}
-	allocs := testing.AllocsPerRun(1000, func() {
-		mgr.observeExemplar(job)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled observeExemplar allocates %g/op, want 0", allocs)
+// TestBurnWindowLimitIsSLOHorizon pins health's burn-rate window limit to
+// the reach of the scheduler's SLO ring that answers those windows and
+// that backfillSLO seeds.
+func TestBurnWindowLimitIsSLOHorizon(t *testing.T) {
+	if health.MaxBurnWindow != sched.SLOHorizon {
+		t.Fatalf("health.MaxBurnWindow = %v, sched.SLOHorizon = %v", health.MaxBurnWindow, sched.SLOHorizon)
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -11,32 +10,11 @@ import (
 	"womcpcm/internal/tsdb"
 )
 
-// ErrNoHistory rejects history routes when womd runs without -history.
-var ErrNoHistory = errors.New("engine: metric history not configured (start womd with -history)")
-
-// WithHistory serves db's range queries on GET /v1/query_range,
-// /v1/series, and /v1/alerts/history. Without it those routes refuse
-// with 501 (ErrNoHistory), matching the other optional planes.
-func WithHistory(db *tsdb.DB) ServerOption {
-	return func(s *Server) {
-		if db != nil {
-			s.history = db
-		}
-	}
-}
-
-// History exposes the server's history store; nil when -history is off.
-func (s *Server) History() *tsdb.DB { return s.history }
-
 // queryRange serves GET /v1/query_range?metric=&match[l]=&start=&end=&
 // step=&agg=&tier=. start/end accept unix seconds (fractions allowed),
 // unix milliseconds, or RFC3339; step and tier accept Go durations or
 // bare seconds. agg is one of rate|avg|min|max|sum (default avg).
 func (s *Server) queryRange(w http.ResponseWriter, r *http.Request) {
-	if s.history == nil {
-		writeError(w, ErrNoHistory)
-		return
-	}
 	q := r.URL.Query()
 	rq := tsdb.RangeQuery{Metric: q.Get("metric"), Agg: q.Get("agg")}
 	var err error
@@ -72,7 +50,7 @@ func (s *Server) queryRange(w http.ResponseWriter, r *http.Request) {
 			rq.Match[key[len("match["):len(key)-1]] = vals[0]
 		}
 	}
-	series, err := s.history.QueryRange(rq)
+	series, err := s.m.History().QueryRange(rq)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -90,11 +68,7 @@ func (s *Server) queryRange(w http.ResponseWriter, r *http.Request) {
 // listSeries serves GET /v1/series[?metric=]: the discovery surface for
 // query_range and womtool graph.
 func (s *Server) listSeries(w http.ResponseWriter, r *http.Request) {
-	if s.history == nil {
-		writeError(w, ErrNoHistory)
-		return
-	}
-	series := s.history.Series(r.URL.Query().Get("metric"))
+	series := s.m.History().Series(r.URL.Query().Get("metric"))
 	writeJSON(w, http.StatusOK, map[string]any{"series": series})
 }
 
@@ -102,10 +76,6 @@ func (s *Server) listSeries(w http.ResponseWriter, r *http.Request) {
 // journaled alert lifecycle transitions, newest first — unlike
 // /v1/alerts, this survives a restart.
 func (s *Server) alertHistory(w http.ResponseWriter, r *http.Request) {
-	if s.history == nil {
-		writeError(w, ErrNoHistory)
-		return
-	}
 	q := r.URL.Query()
 	limit := 0
 	if v := q.Get("limit"); v != "" {
@@ -134,7 +104,7 @@ func (s *Server) alertHistory(w http.ResponseWriter, r *http.Request) {
 		to = time.UnixMilli(ms)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"transitions": s.history.AlertHistory(from, to, limit),
+		"transitions": s.m.History().AlertHistory(from, to, limit),
 	})
 }
 

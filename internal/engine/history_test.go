@@ -4,45 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"womcpcm/internal/metrics/metricstest"
+	"womcpcm/internal/sched"
+	"womcpcm/internal/sim"
 	"womcpcm/internal/tsdb"
 )
-
-// TestHistoryRoutesRefuseWhenOff pins the 501 contract: without
-// WithHistory the history surface answers ErrNoHistory, like the other
-// optional planes.
-func TestHistoryRoutesRefuseWhenOff(t *testing.T) {
-	mgr := New(Config{Workers: 1, QueueDepth: 1})
-	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	ts := httptest.NewServer(NewServer(mgr))
-	defer ts.Close()
-
-	for _, path := range []string{
-		"/v1/query_range?metric=womd_up&start=0&end=1",
-		"/v1/series",
-		"/v1/alerts/history",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body map[string]string
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatalf("%s: non-JSON 501 body: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotImplemented {
-			t.Fatalf("%s = %d, want 501", path, resp.StatusCode)
-		}
-		if body["error"] == "" {
-			t.Fatalf("%s: empty error body", path)
-		}
-	}
-}
 
 // TestHistoryQueryRangeHTTP drives the full path: self-scrape of the
 // server's own exposition into the store, then range queries over HTTP.
@@ -54,13 +26,12 @@ func TestHistoryQueryRangeHTTP(t *testing.T) {
 	defer db.Close()
 	mgr := New(Config{Workers: 1, QueueDepth: 4, History: db})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	srv := NewServer(mgr, WithHistory(db))
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
 	start := time.Now().Add(-time.Second)
 	for i := 0; i < 3; i++ {
-		db.ScrapeOnce(srv.Collect)
+		db.ScrapeOnce(mgr.Collect)
 		time.Sleep(5 * time.Millisecond)
 	}
 	end := time.Now().Add(time.Second)
@@ -125,9 +96,9 @@ func TestAlertHistoryHTTP(t *testing.T) {
 	defer db.Close()
 	db.AppendAlertTransition(time.Now(), "firing", "rule\x00subj",
 		json.RawMessage(`{"id":"al-000001","rule":"queue-sat","state":"firing"}`))
-	mgr := New(Config{Workers: 1, QueueDepth: 1})
+	mgr := New(Config{Workers: 1, QueueDepth: 1, History: db})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	ts := httptest.NewServer(NewServer(mgr, WithHistory(db)))
+	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/alerts/history?limit=10")
@@ -163,9 +134,9 @@ func TestJSONEndpointsNoStore(t *testing.T) {
 		"/v1/jobs/nope",       // 404 error
 		"/v1/experiments",     // 200 list
 		"/v1/tenants",         // 200 list
-		"/v1/alerts",          // 501 plane off
+		"/v1/alerts",          // 200 list
 		"/v1/results",         // 501 plane off
-		"/v1/query_range",     // 501 plane off
+		"/v1/query_range",     // 400 bad query
 		"/healthz", "/readyz", // health JSON
 		"/v1/definitely/nope", // mux 404 via the JSON interceptor
 		"/metrics.json",       // JSON snapshot
@@ -182,31 +153,6 @@ func TestJSONEndpointsNoStore(t *testing.T) {
 	}
 }
 
-// TestObserveHistoryDisabledZeroAlloc pins the acceptance contract:
-// -history=false adds zero allocations to the job hot path — the
-// ObserveJob hook is one nil pointer check.
-func TestObserveHistoryDisabledZeroAlloc(t *testing.T) {
-	mgr := New(Config{Workers: 1, QueueDepth: 1})
-	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	allocs := testing.AllocsPerRun(1000, func() {
-		mgr.cfg.History.ObserveJob("conf_date", 0.123)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled ObserveJob allocates %g/op, want 0", allocs)
-	}
-}
-
-// BenchmarkObserveHistoryDisabled is the benchmark twin of the zero-alloc
-// test, for `go test -bench` comparisons against the enabled path.
-func BenchmarkObserveHistoryDisabled(b *testing.B) {
-	mgr := New(Config{Workers: 1, QueueDepth: 1})
-	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mgr.cfg.History.ObserveJob("conf_date", 0.123)
-	}
-}
-
 // TestHistoryObservesJobWall checks a finished job lands in the history
 // store's built-in series.
 func TestHistoryObservesJobWall(t *testing.T) {
@@ -217,7 +163,7 @@ func TestHistoryObservesJobWall(t *testing.T) {
 	defer db.Close()
 	mgr := New(Config{Workers: 1, QueueDepth: 4, History: db})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	ts := httptest.NewServer(NewServer(mgr, WithHistory(db)))
+	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
 	status, view := postJSON(t, ts, JobRequest{Experiment: "fig5", Params: fastParams()})
@@ -229,5 +175,114 @@ func TestHistoryObservesJobWall(t *testing.T) {
 	infos := db.Series("womd_history_job_wall_seconds")
 	if len(infos) != 1 || infos[0].Labels["experiment"] != "fig5" {
 		t.Fatalf("job wall series: %+v", infos)
+	}
+}
+
+// TestOversizedQueryRefusedPromptly: a range query whose grid exceeds
+// tsdb.MaxQueryPoints is refused with a 400 before it takes the history
+// lock, so a job finishing meanwhile (ObserveJob takes that lock) settles
+// at once instead of waiting out a walk of billions of empty windows.
+func TestOversizedQueryRefusedPromptly(t *testing.T) {
+	release := make(chan struct{})
+	mgr := New(Config{Workers: 1, QueueDepth: 4,
+		run: func(ctx context.Context, job *Job) (*sim.Result, error) {
+			<-release
+			return &sim.Result{}, nil
+		}})
+	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	job, err := mgr.Submit(context.Background(), JobRequest{Experiment: "fig5", Params: fastParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/query_range?metric=womd_uptime_seconds&start=0&end=%d&step=1ms",
+			ts.URL, time.Now().Unix()))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	close(release)
+	settled := time.Now().Add(5 * time.Second)
+	for !job.State().Terminal() {
+		if time.Now().After(settled) {
+			t.Fatal("job did not settle within 5 s of an oversized query")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := <-status; got != http.StatusBadRequest {
+		t.Fatalf("oversized query_range = %d, want 400", got)
+	}
+}
+
+// TestTenantLabelRoundTrip: a tenant name holding every character the
+// exposition format escapes, plus a tab (which Go %q quoting mis-escapes),
+// renders valid /metrics, lands in history under its exact name, and
+// seeds a restarted scheduler's SLO window through backfillSLO.
+func TestTenantLabelRoundTrip(t *testing.T) {
+	const tenant = "a\"b\\c\td"
+	cfg := sched.Config{Tenants: []sched.TenantClass{{Name: tenant, DeadlineMs: 60_000}}}
+	db, err := tsdb.Open(tsdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mgr := New(Config{Workers: 1, Scheduler: sched.New(cfg), History: db,
+		run: func(ctx context.Context, job *Job) (*sim.Result, error) { return &sim.Result{}, nil }})
+	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+	srv := NewServer(mgr)
+
+	// The manager's first self-scrape, before any dequeue, is the
+	// counters' zero baseline.
+	for waited := time.Now(); len(db.Series("womd_tenant_dequeued_total")) == 0; time.Sleep(time.Millisecond) {
+		if time.Since(waited) > 5*time.Second {
+			t.Fatal("no self-scrape recorded the tenant")
+		}
+	}
+	for i := 0; i < 2; i++ {
+		job, err := mgr.Submit(context.Background(), JobRequest{
+			Experiment: "fig5", Params: fastParams(), Tenant: tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, mgr, job.ID())
+	}
+	time.Sleep(2 * time.Millisecond) // a distinct scrape timestamp
+	db.ScrapeOnce(mgr.Collect)
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	_, samples := metricstest.Parse(t, rec.Body.String())
+	var exposed int
+	for _, s := range samples {
+		if s.Name == "womd_tenant_dequeued_total" {
+			exposed++
+			if s.Labels["tenant"] != tenant || s.Value != 2 {
+				t.Errorf("exposed %s %q = %g, want %q = 2", s.Name, s.Labels["tenant"], s.Value, tenant)
+			}
+		}
+	}
+	if exposed != 1 {
+		t.Fatalf("womd_tenant_dequeued_total exposed %d times, want 1", exposed)
+	}
+
+	for _, metric := range []string{"womd_tenant_slo_met_total", "womd_tenant_dequeued_total"} {
+		infos := db.Series(metric)
+		if len(infos) != 1 || infos[0].Labels["tenant"] != tenant {
+			t.Fatalf("history %s series: %+v, want tenant %q", metric, infos, tenant)
+		}
+	}
+
+	restarted := sched.New(cfg)
+	backfillSLO(restarted, db, slog.New(slog.DiscardHandler))
+	if met, total, ok := restarted.WindowSLO(tenant, 30*time.Minute); !ok || met != 2 || total != 2 {
+		t.Fatalf("backfilled window = %d/%d (known %v), want 2/2", met, total, ok)
 	}
 }

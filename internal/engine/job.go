@@ -88,8 +88,7 @@ type Job struct {
 	progressTotal atomic.Int64
 
 	// span is the job's host-time accounting (internal/perfmon), installed
-	// when the worker starts the run; nil when perf accounting is disabled
-	// or the job never ran. The monitor goroutine and progress snapshots
+	// when the worker starts the run; nil until then. The monitor goroutine and progress snapshots
 	// read it concurrently, hence the atomic pointer.
 	span atomic.Pointer[perfmon.Span]
 	// classes accumulates the job's simulated write-class totals, advanced
@@ -133,12 +132,12 @@ func (j *Job) State() State {
 }
 
 // TraceContext returns the job's position in its trace — the root "job"
-// span every lifecycle child parents under. Zero (invalid) when tracing is
-// off.
+// span every lifecycle child parents under.
 func (j *Job) TraceContext() span.Context { return j.trace }
 
 // endTrace closes the job's root span with its terminal state. Idempotent
-// (span.Active.End latches) and nil-safe, so every settle path may call it.
+// (span.Active.End latches), and a no-op for a cache hit, whose root span
+// ended at admission, so every settle path may call it.
 func (j *Job) endTrace() {
 	if j.rootSpan == nil {
 		return
@@ -303,8 +302,8 @@ type ProgressView struct {
 	Total int64  `json:"total"`
 	// Fraction is Done/Total, 0 when the total is unknown.
 	Fraction float64 `json:"fraction"`
-	// SimEvents and EventsPerSec report live host-time throughput (0 when
-	// perf accounting is disabled or the job has not started).
+	// SimEvents and EventsPerSec report live host-time throughput (0
+	// before the job starts).
 	SimEvents    int64   `json:"sim_events,omitempty"`
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	// WriteClasses maps write class → simulated rows written, accumulated
@@ -360,7 +359,7 @@ type JobView struct {
 	// Tenant is the scheduling class the job was admitted under.
 	Tenant string `json:"tenant,omitempty"`
 	// Traceparent is the job's trace position in W3C form;
-	// its trace id keys GET /v1/jobs/{id}/trace. Empty when tracing is off.
+	// its trace id keys GET /v1/jobs/{id}/trace.
 	Traceparent string `json:"traceparent,omitempty"`
 	SubmittedAt string `json:"submitted_at"`
 	StartedAt   string `json:"started_at,omitempty"`
@@ -368,7 +367,7 @@ type JobView struct {
 	// DurationMs is the run's wall time (running jobs: elapsed so far).
 	DurationMs int64 `json:"duration_ms,omitempty"`
 	// Perf is the job's host-time accounting, present once it finished
-	// running with perf accounting enabled.
+	// running.
 	Perf *PerfView `json:"perf,omitempty"`
 }
 

@@ -60,44 +60,28 @@ type Config struct {
 	// Logger receives structured job lifecycle logs (queued, started,
 	// finished) with request ids; nil discards them.
 	Logger *slog.Logger
-	// DisablePerf turns off per-job host-time accounting. The disabled path
-	// is the probe contract: a nil span, one pointer check per site, no
-	// allocations (see perfmon's BenchmarkSpanDisabled).
-	DisablePerf bool
 	// Profiles, when set, enables automatic slow-job profiling: a monitor
 	// goroutine samples running jobs' rolling events/sec and captures
-	// CPU+heap pprof profiles into this store when a job falls below
-	// SlowFraction of the running jobs' median or crosses DeadlineFraction
-	// of its timeout. nil disables the monitor entirely.
+	// CPU+heap pprof profiles into this store when a job falls behind its
+	// peers or nears its timeout (see monitor.go). nil disables the
+	// monitor entirely.
 	Profiles *perfmon.ProfileStore
-	// SlowFraction triggers a capture when a job's rolling rate drops below
-	// this fraction of the running jobs' median (default 0.25). Needs at
-	// least two running jobs — a median of one is the job itself.
-	SlowFraction float64
-	// DeadlineFraction triggers a capture when a job with a timeout has
-	// consumed this fraction of it (default 0.9) — about to be killed is
-	// the last chance to see why it was slow.
-	DeadlineFraction float64
-	// MonitorInterval spaces monitor passes (default 15s).
-	MonitorInterval time.Duration
-	// ProfileCPUDuration is how long a capture samples CPU (default 500ms).
-	ProfileCPUDuration time.Duration
-	// Exemplars, when set, records the latest job/trace per subject
-	// (service, tenant, shed, slow) as each job settles, so alert
-	// annotations (internal/health) can point at a concrete trace. nil —
-	// the -alerts=false path — costs one pointer check per job, pinned by
-	// TestObserveExemplarDisabledZeroAlloc.
-	Exemplars *health.Exemplars
+	// AlertRules is the alerting engine's rule set (internal/health); the
+	// zero value selects health.DefaultRules(). A non-empty set must be
+	// valid — health.LoadRules returns only valid sets — and New panics
+	// on an invalid one.
+	AlertRules health.RulesConfig
 	// Tracer records the job lifecycle as trace spans (internal/span): a
 	// root "job" span per submission with admission, queue-wait, execute,
 	// store, and SSE children, continuing a client's W3C traceparent when
-	// one is given. nil disables tracing — every instrumentation site is a
-	// nil-safe no-op.
+	// one is given. nil selects a recorder for service "womd" with span's
+	// default ring, sampling every trace a client does not mark unsampled.
 	Tracer *span.Recorder
-	// History, when set, records each finished job's wall time into the
-	// embedded metrics history (internal/tsdb) alongside the self-scraped
-	// families. nil — the -history=false path — costs one pointer check
-	// per job, pinned by TestObserveHistoryDisabledZeroAlloc.
+	// History is the embedded metrics history (internal/tsdb): the
+	// manager self-scrapes Collect into it, records each finished job's
+	// wall time, journals alert transitions, and backfills SLO windows
+	// and active alerts from it at start. nil selects an in-memory store.
+	// Shutdown closes it.
 	History *tsdb.DB
 
 	// run executes one dequeued job; nil selects the job's registry
@@ -124,14 +108,16 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
-	if c.SlowFraction <= 0 {
-		c.SlowFraction = 0.25
+	if c.Tracer == nil {
+		c.Tracer = span.New(span.Config{Service: "womd"})
 	}
-	if c.DeadlineFraction <= 0 {
-		c.DeadlineFraction = 0.9
-	}
-	if c.MonitorInterval <= 0 {
-		c.MonitorInterval = 15 * time.Second
+	if c.History == nil {
+		db, err := tsdb.Open(tsdb.Options{Logger: c.Logger})
+		if err != nil {
+			// Only a bad Dir or tier spec fails Open; the defaults have neither.
+			panic(fmt.Sprintf("engine: opening in-memory history: %v", err))
+		}
+		c.History = db
 	}
 	if c.run == nil {
 		c.run = func(ctx context.Context, job *Job) (*sim.Result, error) {
@@ -151,20 +137,23 @@ var (
 	ErrTooManyJobs = errors.New("engine: too many retained jobs")
 	// ErrNotFound reports an unknown job or trace id.
 	ErrNotFound = errors.New("engine: not found")
-	// ErrNoTracer rejects trace routes when tracing is disabled.
-	ErrNoTracer = errors.New("engine: tracing not configured (start womd with -trace-spans > 0)")
-	// ErrNoAlerts rejects alert routes when alerting is disabled.
-	ErrNoAlerts = errors.New("engine: alerting not configured (start womd with -alerts)")
 )
 
-// Manager owns the job queue, the worker pool, the trace store, and the
-// metrics. One Manager serves one process.
+// Manager owns the job queue, the worker pool, the trace store, the
+// metrics, and the observability planes: tracing, alerting, metric
+// history, and per-job host-time accounting. One Manager serves one
+// process.
 type Manager struct {
 	cfg     Config
 	metrics *Metrics
 	traces  *TraceStore
 	store   *resultstore.Store // nil when caching is off
 	log     *slog.Logger
+	alerts  *health.Engine
+	// exemplars records the latest job/trace per subject (service,
+	// tenant, shed, slow) as jobs settle, so alert annotations can point
+	// at a concrete trace.
+	exemplars *health.Exemplars
 
 	baseCtx context.Context // canceled to abort all running jobs
 	abort   context.CancelFunc
@@ -193,22 +182,24 @@ type flight struct {
 	waiters []*Job
 }
 
-// New starts a manager and its worker pool.
+// New starts a manager, its worker pool, and its observability planes.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:      cfg,
-		metrics:  NewMetrics(),
-		traces:   NewTraceStore(cfg.MaxTraceRecords, cfg.MaxTraces),
-		store:    cfg.Store,
-		log:      cfg.Logger,
-		baseCtx:  ctx,
-		abort:    cancel,
-		jobs:     make(map[string]*Job),
-		sched:    cfg.Scheduler,
-		inflight: make(map[string]*flight),
+		cfg:       cfg,
+		metrics:   NewMetrics(),
+		traces:    NewTraceStore(cfg.MaxTraceRecords, cfg.MaxTraces),
+		store:     cfg.Store,
+		log:       cfg.Logger,
+		exemplars: health.NewExemplars(),
+		baseCtx:   ctx,
+		abort:     cancel,
+		jobs:      make(map[string]*Job),
+		sched:     cfg.Scheduler,
+		inflight:  make(map[string]*flight),
 	}
+	m.startPlanes()
 	for w := 0; w < cfg.Workers; w++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -233,8 +224,15 @@ func (m *Manager) Store() *resultstore.Store { return m.store }
 // Profiles exposes the slow-job profile store; nil when profiling is off.
 func (m *Manager) Profiles() *perfmon.ProfileStore { return m.cfg.Profiles }
 
-// Tracer exposes the span recorder; nil when tracing is off.
+// Tracer exposes the span recorder.
 func (m *Manager) Tracer() *span.Recorder { return m.cfg.Tracer }
+
+// Alerts exposes the alerting engine: the alert set, and Reload for new
+// rules.
+func (m *Manager) Alerts() *health.Engine { return m.alerts }
+
+// History exposes the metric history store.
+func (m *Manager) History() *tsdb.DB { return m.cfg.History }
 
 // Scheduler exposes the job queue: per-tenant views, the womd_tenant_*
 // collector, SLO windows, and Reload.
@@ -441,11 +439,9 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (*Job, error) {
 		var se *sched.ShedError
 		if errors.As(err, &se) {
 			se.TraceID = root.Context().TraceID
-			if ex := m.cfg.Exemplars; ex != nil {
-				ex.Observe("shed", "", se.TraceID)
-				if se.Tenant != "" {
-					ex.Observe("shed:tenant:"+se.Tenant, "", se.TraceID)
-				}
+			m.exemplars.Observe("shed", "", se.TraceID)
+			if se.Tenant != "" {
+				m.exemplars.Observe("shed:tenant:"+se.Tenant, "", se.TraceID)
 			}
 		}
 		root.SetStr("error", err.Error())
@@ -515,7 +511,8 @@ func (m *Manager) Delete(id string) error {
 // Shutdown drains gracefully: submissions are rejected from now on, queued
 // and in-flight jobs run to completion, and workers exit. If ctx expires
 // first, running jobs are aborted via their contexts and Shutdown returns
-// ctx.Err() after the pool stops.
+// ctx.Err() after the pool stops. Either way it then stops alerting and
+// flushes and closes the metric history.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.draining {
@@ -535,14 +532,16 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		m.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
 		m.abort()
 		<-done
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	m.stopPlanes()
+	return err
 }
 
 // worker executes queued jobs until the queue closes on drain.
@@ -592,33 +591,24 @@ func (m *Manager) runJob(job *Job) {
 	m.log.Info("job started", "job", job.id, "experiment", job.exp.Name,
 		"request_id", job.reqID)
 	start := time.Now()
-	// Host-time accounting brackets the run. A nil span (DisablePerf)
-	// makes every perf touchpoint below a single pointer check — the probe
-	// contract, pinned by BenchmarkSpanDisabled.
-	var pspan *perfmon.Span
-	if !m.cfg.DisablePerf {
-		pspan = perfmon.Begin()
-		job.span.Store(pspan)
-	}
+	// Host-time accounting brackets the run.
+	pspan := perfmon.Begin()
+	job.span.Store(pspan)
 	execSpan := m.cfg.Tracer.StartSpan(job.trace, "execute")
 	res, err := m.cfg.run(m.jobContext(ctx, job), job)
 	m.metrics.Running.Add(-1)
 	wall := time.Since(start)
 	m.metrics.ObserveWall(job.exp.Name, wall)
-	// Nil-safe: with -history=false this is one pointer check, zero
-	// allocations (TestObserveHistoryDisabledZeroAlloc).
 	m.cfg.History.ObserveJob(job.exp.Name, wall.Seconds())
-	if pspan != nil {
-		rec := pspan.End()
-		job.setPerf(rec)
-		m.metrics.ObservePerf(job.exp.Name, rec)
-		// Link the execute span to the perfmon record: the same sim-event
-		// and host-cost figures the perf block reports, on the waterfall.
-		execSpan.SetInt("sim_events", rec.SimEvents)
-		execSpan.SetFloat("events_per_sec", rec.EventsPerSec)
-		execSpan.SetInt("cpu_ns", rec.CPUNs)
-		execSpan.SetInt("alloc_bytes", int64(rec.AllocBytes))
-	}
+	rec := pspan.End()
+	job.setPerf(rec)
+	m.metrics.ObservePerf(job.exp.Name, rec)
+	// Link the execute span to the perfmon record: the same sim-event
+	// and host-cost figures the perf block reports, on the waterfall.
+	execSpan.SetInt("sim_events", rec.SimEvents)
+	execSpan.SetFloat("events_per_sec", rec.EventsPerSec)
+	execSpan.SetInt("cpu_ns", rec.CPUNs)
+	execSpan.SetInt("alloc_bytes", int64(rec.AllocBytes))
 	execSpan.End()
 	switch {
 	case err == nil:
@@ -655,18 +645,12 @@ func (m *Manager) runJob(job *Job) {
 
 // observeExemplar feeds the alerting plane's per-subject exemplar store
 // as a job settles, so a firing alert can point at a concrete recent
-// trace. With alerting off (nil Exemplars) this is one pointer check on
-// the job hot path — the -alerts=false contract, pinned by
-// TestObserveExemplarDisabledZeroAlloc.
+// trace.
 func (m *Manager) observeExemplar(job *Job) {
-	ex := m.cfg.Exemplars
-	if ex == nil {
-		return
-	}
 	tid := job.trace.TraceID
-	ex.Observe("service", job.id, tid)
+	m.exemplars.Observe("service", job.id, tid)
 	if job.tenant != "" {
-		ex.Observe("tenant:"+job.tenant, job.id, tid)
+		m.exemplars.Observe("tenant:"+job.tenant, job.id, tid)
 	}
 }
 
@@ -701,10 +685,7 @@ func (m *Manager) jobContext(ctx context.Context, job *Job) context.Context {
 		m.metrics.AddWriteClasses(counts)
 		job.addClassCounts(counts)
 	})
-	if span := job.span.Load(); span != nil {
-		ctx = sim.WithSimEvents(ctx, span.Events())
-	}
-	return ctx
+	return sim.WithSimEvents(ctx, job.span.Load().Events())
 }
 
 // storeResult persists one successful cacheable run. Store failures do not

@@ -3,17 +3,19 @@ package engine
 import (
 	"sort"
 	"time"
+
+	"womcpcm/internal/perfmon"
 )
 
 // This file is the automatic slow-job profiler: a monitor goroutine that
 // samples every running job's rolling event rate and captures CPU+heap
 // pprof profiles (into cfg.Profiles) from jobs that are struggling. Two
-// triggers, checked every MonitorInterval:
+// triggers, checked every monitorInterval:
 //
 //   - slow: the job's rolling events/sec over the last pass dropped below
-//     SlowFraction of the running jobs' median. Needs ≥2 running jobs — with one
+//     slowFraction of the running jobs' median. Needs ≥2 running jobs — with one
 //     job the median is the job itself and the comparison is vacuous.
-//   - deadline: a job with a timeout has consumed DeadlineFraction of it.
+//   - deadline: a job with a timeout has consumed deadlineFraction of it.
 //     It is about to be killed; the profile is the post-mortem.
 //
 // Each job is profiled at most once (job.profiled latch): profiles answer
@@ -21,8 +23,20 @@ import (
 // while costing a StartCPUProfile window that is process-global.
 //
 // The monitor reads only atomics (span live counters, job state) and never
-// blocks job execution. It requires per-job perf accounting: with
-// DisablePerf there are no spans and nothing to sample.
+// blocks job execution.
+
+// The monitor's policy constants.
+const (
+	// monitorInterval spaces monitor passes.
+	monitorInterval = 15 * time.Second
+	// slowFraction triggers a capture when a job's rolling rate drops below
+	// this fraction of the running jobs' median.
+	slowFraction = 0.25
+	// deadlineFraction triggers a capture when a job with a timeout has
+	// consumed this fraction of it — about to be killed is the last
+	// chance to see why it was slow.
+	deadlineFraction = 0.9
+)
 
 // slowSample is one running job's observation for a monitor pass.
 type slowSample struct {
@@ -77,7 +91,7 @@ func slowVerdicts(samples []slowSample, slowFrac, deadlineFrac float64) map[stri
 // stopped by Shutdown via monStop.
 func (m *Manager) monitor() {
 	defer close(m.monDone)
-	ticker := time.NewTicker(m.cfg.MonitorInterval)
+	ticker := time.NewTicker(monitorInterval)
 	defer ticker.Stop()
 	last := make(map[string]int64) // jobID → live event count at previous pass
 	for {
@@ -85,7 +99,7 @@ func (m *Manager) monitor() {
 		case <-m.monStop:
 			return
 		case <-ticker.C:
-			m.monitorPass(last, m.cfg.MonitorInterval)
+			m.monitorPass(last, monitorInterval)
 		}
 	}
 }
@@ -101,7 +115,7 @@ func (m *Manager) monitorPass(last map[string]int64, interval time.Duration) {
 		}
 		span := job.span.Load()
 		if span == nil {
-			continue // DisablePerf or not yet started
+			continue // not yet started
 		}
 		live := span.LiveEvents()
 		prev, seen := last[job.id]
@@ -125,12 +139,12 @@ func (m *Manager) monitorPass(last map[string]int64, interval time.Duration) {
 			delete(last, id)
 		}
 	}
-	for id, reason := range slowVerdicts(samples, m.cfg.SlowFraction, m.cfg.DeadlineFraction) {
+	for id, reason := range slowVerdicts(samples, slowFraction, deadlineFraction) {
 		job := running[id]
 		if !job.profiled.CompareAndSwap(false, true) {
 			continue // already captured once
 		}
-		caps, err := m.cfg.Profiles.Capture(job.id, job.trace.TraceID, reason, m.cfg.ProfileCPUDuration)
+		caps, err := m.cfg.Profiles.Capture(job.id, job.trace.TraceID, reason, perfmon.DefaultCPUProfileDuration)
 		if err != nil {
 			// ErrBusy or I/O trouble: release the latch so a later pass can
 			// retry while the job is still running.
@@ -142,9 +156,7 @@ func (m *Manager) monitorPass(last map[string]int64, interval time.Duration) {
 		m.metrics.ProfilesCaptured.Add(uint64(len(caps)))
 		// The slow job itself is the exemplar a slow_jobs alert should
 		// point at, not whichever job settled last.
-		if ex := m.cfg.Exemplars; ex != nil {
-			ex.Observe("slow", job.id, job.trace.TraceID)
-		}
+		m.exemplars.Observe("slow", job.id, job.trace.TraceID)
 		m.log.Info("slow-job profiles captured", "job", job.id,
 			"reason", reason, "profiles", len(caps))
 	}

@@ -80,24 +80,6 @@ func TestJobPerfRecord(t *testing.T) {
 	}
 }
 
-// TestDisablePerf checks the off switch: no span, no perf block, no perf
-// metrics — the disabled path of the zero-cost contract.
-func TestDisablePerf(t *testing.T) {
-	mgr := New(Config{Workers: 1, QueueDepth: 4, DisablePerf: true})
-	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	job, err := mgr.Submit(context.Background(), JobRequest{Experiment: "fig5", Params: fastParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, mgr, job.ID())
-	if view := job.View(); view.Perf != nil {
-		t.Errorf("Perf block present with DisablePerf: %+v", view.Perf)
-	}
-	if snap := mgr.Metrics().Snapshot(); snap.SimEventsTotal != 0 || len(snap.EventsPerSec) != 0 {
-		t.Errorf("perf metrics populated with DisablePerf: %+v", snap)
-	}
-}
-
 // TestSlowVerdicts exercises the profiling policy as a pure function.
 func TestSlowVerdicts(t *testing.T) {
 	mk := func(id string, rate float64) slowSample {
@@ -145,40 +127,46 @@ func TestSlowVerdicts(t *testing.T) {
 }
 
 // TestMonitorCapturesDeadlineProfile drives the automatic profiler end to
-// end: a job near its deadline gets CPU+heap profiles captured into the
-// store, the counter moves, and the HTTP routes list and serve the files.
+// end: a job past its deadline fraction gets CPU+heap profiles captured
+// into the store by a monitor pass, the counter moves, and the HTTP routes
+// list and serve the files.
 func TestMonitorCapturesDeadlineProfile(t *testing.T) {
 	ps, err := perfmon.NewProfileStore(t.TempDir(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The stub keeps the job running past its timeout until released, so
+	// a pass finds it beyond deadlineFraction of that timeout.
+	release := make(chan struct{})
 	mgr := New(Config{
-		Workers:            1,
-		QueueDepth:         4,
-		Profiles:           ps,
-		MonitorInterval:    10 * time.Millisecond,
-		DeadlineFraction:   0.0001, // any elapsed time crosses it
-		ProfileCPUDuration: 10 * time.Millisecond,
+		Workers:    1,
+		QueueDepth: 4,
+		Profiles:   ps,
+		run: func(ctx context.Context, job *Job) (*sim.Result, error) {
+			<-release
+			return nil, ctx.Err()
+		},
 	})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+	// Deferred last so it runs first: Shutdown waits for the held job.
+	defer close(release)
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
-	// A long single-threaded job with a generous timeout: the deadline
-	// trigger fires long before the timeout does.
-	params := sim.Params{Requests: 400000, Bench: []string{"qsort"}, Ranks: 4, Parallelism: 1}
+	const timeout = 100 * time.Millisecond
 	job, err := mgr.Submit(context.Background(),
-		JobRequest{Experiment: "fig5", Params: params, TimeoutMs: 120000})
+		JobRequest{Experiment: "fig5", Params: fastParams(), TimeoutMs: timeout.Milliseconds()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Minute)
-	for ps.Len() < 2 && !job.State().Terminal() {
+	for sp := job.span.Load(); sp == nil || sp.Elapsed() < timeout; sp = job.span.Load() {
 		if time.Now().After(deadline) {
-			t.Fatalf("no profiles captured; store holds %d", ps.Len())
+			t.Fatal("job never ran past its timeout")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
+	mgr.monitorPass(map[string]int64{}, monitorInterval)
 	caps := ps.List(job.ID())
 	if len(caps) < 2 {
 		t.Fatalf("captures for %s = %d, want cpu+heap", job.ID(), len(caps))
@@ -224,10 +212,6 @@ func TestMonitorCapturesDeadlineProfile(t *testing.T) {
 		t.Errorf("unknown profile status = %d", resp.StatusCode)
 	}
 
-	if err := mgr.Cancel(job.ID()); err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, mgr, job.ID())
 }
 
 // TestProfileRoutesUnconfigured maps the no-store case to 501.
@@ -247,14 +231,14 @@ func TestProfileRoutesUnconfigured(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetricsExposition wires the runtime collector into the server
-// and holds the scrape to the strict exposition contract: every
+// TestRuntimeMetricsExposition holds the server's scrape to the strict
+// exposition contract: every
 // womd_runtime_* family from RuntimeMetricNames appears with a TYPE line
 // and at least one sample, and the whole body still parses strictly.
 func TestRuntimeMetricsExposition(t *testing.T) {
 	mgr := New(Config{Workers: 1, QueueDepth: 4})
 	defer mgr.Shutdown(context.Background()) //nolint:errcheck
-	srv := NewServer(mgr, WithCollector(perfmon.CollectRuntime))
+	srv := NewServer(mgr)
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

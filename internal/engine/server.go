@@ -21,7 +21,6 @@ import (
 	"womcpcm/internal/sched"
 	"womcpcm/internal/sim"
 	"womcpcm/internal/span"
-	"womcpcm/internal/tsdb"
 )
 
 // Server is the HTTP/JSON face of a Manager. Routes (see DESIGN.md for the
@@ -48,20 +47,20 @@ import (
 //	GET    /v1/baselines        list pinned baselines
 //	GET    /v1/baselines/{name} one baseline, full metrics
 //	GET    /v1/compare          ?baseline=name&tolerance=0.02 regression report
-//	GET    /v1/alerts           SLO/burn-rate alerts (womd -alerts)
+//	GET    /v1/alerts           SLO/burn-rate alerts
+//	GET    /v1/alerts/history   journaled alert transitions, newest first
 //	GET    /v1/alerts/{id}      one alert, active or recently resolved
+//	GET    /v1/query_range      metric history range query
+//	GET    /v1/series           metric history discovery
 //	GET    /metrics             Prometheus text format
 //	GET    /metrics.json        JSON metrics snapshot
 //	GET    /healthz             liveness probe
 //	GET    /readyz              readiness: 503 while draining or saturated
 type Server struct {
-	m          *Manager
-	mux        *http.ServeMux
-	log        *slog.Logger
-	debug      bool
-	collectors []func() []metrics.Family
-	alerts     *health.Engine
-	history    *tsdb.DB
+	m     *Manager
+	mux   *http.ServeMux
+	log   *slog.Logger
+	debug bool
 }
 
 // sseHeartbeat spaces the comment frames that keep idle SSE streams from
@@ -86,29 +85,6 @@ func WithLogger(l *slog.Logger) ServerOption {
 // behind its -debug flag.
 func WithDebug() ServerOption {
 	return func(s *Server) { s.debug = true }
-}
-
-// WithCollector appends a plane's metric families to GET /metrics, after
-// the service's own and in option order — the hook runtime metrics,
-// alerts, spans, the scheduler and the history
-// store export through. The history self-scrape gathers the same list.
-func WithCollector(f func() []metrics.Family) ServerOption {
-	return func(s *Server) {
-		if f != nil {
-			s.collectors = append(s.collectors, f)
-		}
-	}
-}
-
-// WithAlerts serves h's alert set on GET /v1/alerts. Without it the
-// alert routes refuse with 501 (ErrNoAlerts), matching the other
-// optional planes.
-func WithAlerts(h *health.Engine) ServerOption {
-	return func(s *Server) {
-		if h != nil {
-			s.alerts = h
-		}
-	}
 }
 
 // NewServer wires the routes over m.
@@ -276,9 +252,7 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusInsufficientStorage
 	case errors.Is(err, ErrNotFound), errors.Is(err, resultstore.ErrNoBaseline):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrNoStore), errors.Is(err, ErrNoProfiles),
-		errors.Is(err, ErrNoTracer), errors.Is(err, ErrNoAlerts),
-		errors.Is(err, ErrNoHistory):
+	case errors.Is(err, ErrNoStore), errors.Is(err, ErrNoProfiles):
 		status = http.StatusNotImplemented
 	}
 	var se *sched.ShedError
@@ -366,25 +340,16 @@ func (s *Server) getResult(w http.ResponseWriter, r *http.Request) {
 
 // getJobTrace serves GET /v1/jobs/{id}/trace: the job's trace as Chrome
 // trace-event JSON, directly loadable in Perfetto and rendered to an HTML
-// waterfall by `womtool spans`. 404 for a job whose trace was sampled out (or predates the
-// span buffer's eviction horizon), 501 when tracing is off.
+// waterfall by `womtool spans`. 404 for a job whose trace was sampled out
+// (or predates the span buffer's eviction horizon).
 func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.m.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, fmt.Errorf("%w: job %q", ErrNotFound, r.PathValue("id")))
 		return
 	}
-	rec := s.m.Tracer()
-	if rec == nil {
-		writeError(w, ErrNoTracer)
-		return
-	}
 	tc := job.TraceContext()
-	if !tc.Valid() {
-		writeError(w, fmt.Errorf("%w: job %q has no trace", ErrNotFound, job.ID()))
-		return
-	}
-	spans := rec.Trace(tc.TraceID)
+	spans := s.m.Tracer().Trace(tc.TraceID)
 	if len(spans) == 0 {
 		writeError(w, fmt.Errorf("%w: trace %s has no buffered spans (sampled out or evicted)",
 			ErrNotFound, tc.TraceID))
@@ -645,34 +610,7 @@ func (s *Server) compareBaseline(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) promMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	metrics.Write(w, s.Collect()) //nolint:errcheck // client gone mid-response
-}
-
-// Collect gathers every family GET /metrics serves: service counters,
-// store gauge, per-job progress, then each WithCollector plane (runtime
-// metrics, alerts, spans, tenants,
-// the history store's own gauges). The history self-scrape gathers from
-// here, so everything /metrics exposes is also everything history
-// records.
-func (s *Server) Collect() []metrics.Family {
-	fams := s.m.Metrics().Collect()
-	if store := s.m.Store(); store != nil {
-		fams = append(fams, metrics.Gauge("womd_store_results",
-			"Distinct results held by the result store.", float64(store.Len())))
-	}
-	progress := metrics.Family{Name: "womd_job_progress", Type: "gauge",
-		Help: "Fraction of a running job's records processed."}
-	for _, j := range s.m.Jobs() {
-		if p := j.Progress(); p.State == StateRunning && p.Total > 0 {
-			progress.Samples = append(progress.Samples, metrics.Sample{
-				Labels: metrics.Labels("job", p.ID, "experiment", j.exp.Name), Value: p.Fraction})
-		}
-	}
-	fams = append(fams, progress)
-	for _, c := range s.collectors {
-		fams = append(fams, c()...)
-	}
-	return fams
+	metrics.Write(w, s.m.Collect()) //nolint:errcheck // client gone mid-response
 }
 
 func (s *Server) jsonMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -716,11 +654,7 @@ func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) listAlerts(w http.ResponseWriter, _ *http.Request) {
-	if s.alerts == nil {
-		writeError(w, ErrNoAlerts)
-		return
-	}
-	views := s.alerts.Alerts()
+	views := s.m.Alerts().Alerts()
 	counts := map[health.State]int{}
 	for _, v := range views {
 		counts[v.State]++
@@ -732,12 +666,8 @@ func (s *Server) listAlerts(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) getAlert(w http.ResponseWriter, r *http.Request) {
-	if s.alerts == nil {
-		writeError(w, ErrNoAlerts)
-		return
-	}
 	id := r.PathValue("id")
-	v, ok := s.alerts.Alert(id)
+	v, ok := s.m.Alerts().Alert(id)
 	if !ok {
 		writeError(w, fmt.Errorf("%w: alert %q", ErrNotFound, id))
 		return

@@ -112,31 +112,15 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestJobTraceUnavailable covers the endpoint's refusal modes: 501 when the
-// manager has no tracer, 404 for an unknown job id.
+// TestJobTraceUnavailable covers the endpoint's refusal mode: 404 for an
+// unknown job id.
 func TestJobTraceUnavailable(t *testing.T) {
 	mgr := New(Config{Workers: 1, QueueDepth: 2})
 	t.Cleanup(func() { mgr.Shutdown(context.Background()) }) //nolint:errcheck
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
-	status, view := postJSON(t, ts, JobRequest{Experiment: "fig5", Params: fastParams()})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit status = %d", status)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + view.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("trace without tracer = %d, want 501", resp.StatusCode)
-	}
-	if view.Traceparent != "" {
-		t.Errorf("job view advertises traceparent %q with tracing off", view.Traceparent)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/jobs/j-999999/trace")
+	resp, err := http.Get(ts.URL + "/v1/jobs/j-999999/trace")
 	if err != nil {
 		t.Fatal(err)
 	}

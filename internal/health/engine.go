@@ -46,8 +46,8 @@ type Config struct {
 	Rules RulesConfig
 	// Signals feeds the evaluator; see Signals.
 	Signals Signals
-	// Exemplars, when non-nil, annotates violations with the most recent
-	// job/trace seen for the alert's subject.
+	// Exemplars annotates violations with the most recent job/trace seen
+	// for the alert's subject; nil selects an empty store.
 	Exemplars *Exemplars
 	// Logger receives state transitions; nil discards.
 	Logger *slog.Logger
@@ -106,8 +106,7 @@ type violation struct {
 func (v violation) key() string { return v.rule + "\x00" + v.subject }
 
 // Engine evaluates rules against live signals on a fixed cadence and
-// maintains the alert set. A nil *Engine is inert — every method no-ops —
-// so womd can thread one pointer through regardless of -alerts.
+// maintains the alert set.
 type Engine struct {
 	mu       sync.Mutex
 	cfg      Config
@@ -143,6 +142,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.MaxResolved <= 0 {
 		cfg.MaxResolved = 64
 	}
+	if cfg.Exemplars == nil {
+		cfg.Exemplars = NewExemplars()
+	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -164,11 +166,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Start launches the evaluation loop. No-op on nil or if already started.
+// Start launches the evaluation loop. No-op if already started.
 func (e *Engine) Start() {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	if e.started {
 		e.mu.Unlock()
@@ -192,11 +191,8 @@ func (e *Engine) Start() {
 	}()
 }
 
-// Stop halts the evaluation loop. No-op on nil or if never started.
+// Stop halts the evaluation loop. No-op if never started.
 func (e *Engine) Stop() {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	started := e.started
 	e.started = false
@@ -210,11 +206,8 @@ func (e *Engine) Stop() {
 
 // EvalOnce runs one evaluation pass: collect violations from every rule,
 // then advance the alert state machine. Safe to call concurrently with
-// the background loop (tests drive it directly). No-op on nil.
+// the background loop (tests drive it directly).
 func (e *Engine) EvalOnce() {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()
@@ -227,9 +220,6 @@ func (e *Engine) EvalOnce() {
 // resolved (firing) or dropped (pending). The evaluation cadence is not
 // changed by a reload — restart womd to change interval_ms.
 func (e *Engine) Reload(rc RulesConfig) error {
-	if e == nil {
-		return fmt.Errorf("health: alerting not enabled")
-	}
 	if err := rc.Validate(); err != nil {
 		return err
 	}
@@ -264,11 +254,8 @@ func (e *Engine) Reload(rc RulesConfig) error {
 // annotation and behave exactly like live ones: the next evaluation pass
 // either sustains them (condition still true, e.g. from backfilled SLO
 // windows) or walks them through flap/keep-firing damping. Returns the
-// number restored. No-op on nil.
+// number restored.
 func (e *Engine) Restore(views []AlertView) int {
-	if e == nil {
-		return 0
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()
@@ -505,12 +492,8 @@ func (e *Engine) counterRate(key string, val float64, now time.Time) (float64, b
 // annotateExemplar attaches the first exemplar found under keys: the
 // job/trace an operator should look at first.
 func (e *Engine) annotateExemplar(ann map[string]string, keys ...string) {
-	ex := e.cfg.Exemplars
-	if ex == nil {
-		return
-	}
 	for _, k := range keys {
-		sample, ok := ex.Get(k)
+		sample, ok := e.cfg.Exemplars.Get(k)
 		if !ok {
 			continue
 		}
@@ -663,11 +646,8 @@ func (a *alert) view() AlertView {
 }
 
 // Alerts snapshots the alert set: firing first, then pending (each group
-// by id), then resolved history newest-first. Nil on a nil engine.
+// by id), then resolved history newest-first.
 func (e *Engine) Alerts() []AlertView {
-	if e == nil {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var firing, pending []AlertView
@@ -692,9 +672,6 @@ func (e *Engine) Alerts() []AlertView {
 
 // Alert looks one alert up by id across active and resolved sets.
 func (e *Engine) Alert(id string) (AlertView, bool) {
-	if e == nil {
-		return AlertView{}, false
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, a := range e.active {

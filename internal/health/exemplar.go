@@ -22,8 +22,7 @@ const maxExemplarSubjects = 4096
 // Exemplars is a last-job-per-subject store fed by the engine on every
 // job settle (subjects "service", "tenant:<name>", "slow",
 // "shed", "shed:tenant:<name>") and read by the alert evaluator to
-// annotate violations. A nil *Exemplars is inert: Observe and Get cost
-// one pointer check, which is the whole -alerts=false hot-path tax.
+// annotate violations.
 type Exemplars struct {
 	mu sync.Mutex
 	m  map[string]Exemplar
@@ -34,11 +33,8 @@ func NewExemplars() *Exemplars {
 	return &Exemplars{m: make(map[string]Exemplar, 16)}
 }
 
-// Observe records the latest job seen for subject. No-op on nil.
+// Observe records the latest job seen for subject.
 func (e *Exemplars) Observe(subject, jobID, traceID string) {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	if _, ok := e.m[subject]; ok || len(e.m) < maxExemplarSubjects {
 		e.m[subject] = Exemplar{JobID: jobID, TraceID: traceID, At: time.Now()}
@@ -46,11 +42,8 @@ func (e *Exemplars) Observe(subject, jobID, traceID string) {
 	e.mu.Unlock()
 }
 
-// Get returns the latest exemplar for subject, if any. No-op on nil.
+// Get returns the latest exemplar for subject, if any.
 func (e *Exemplars) Get(subject string) (Exemplar, bool) {
-	if e == nil {
-		return Exemplar{}, false
-	}
 	e.mu.Lock()
 	ex, ok := e.m[subject]
 	e.mu.Unlock()

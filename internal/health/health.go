@@ -23,9 +23,7 @@
 // Alerts dedup by rule+subject, and their annotations carry an exemplar
 // job/trace id (Exemplars, fed by the engine) linking straight into
 // GET /v1/jobs/{id}/trace. Served as GET /v1/alerts and womd_alert_*
-// metric families; `womtool top` renders the live view. Everything is
-// nil-safe in the internal/span style, so -alerts=false costs one pointer
-// check on the job hot path. See DESIGN.md §14.
+// metric families; `womtool top` renders the live view. See DESIGN.md §14.
 package health
 
 import (
@@ -68,6 +66,12 @@ const (
 	defaultFastBurn   = 14
 	defaultSlowBurn   = 3
 )
+
+// MaxBurnWindow is the longest burn-rate window a rule may name: the
+// reach of the scheduler's per-second SLO ring (sched.SLOHorizon), which
+// answers every window. A longer window would be silently cut to the
+// ring, so Validate rejects it instead.
+const MaxBurnWindow = 2048 * time.Second
 
 // Rule is one alerting rule, the unit of the -alert-rules JSON file.
 //
@@ -188,6 +192,12 @@ func (c *RulesConfig) Validate() error {
 			}
 			if r.SlowBurn == 0 {
 				r.SlowBurn = defaultSlowBurn
+			}
+			for _, w := range []float64{r.FastShortS, r.FastLongS, r.SlowShortS, r.SlowLongS} {
+				if w < 0 || w > MaxBurnWindow.Seconds() {
+					return fmt.Errorf("health: rule %q: burn-rate window %gs outside [0, %gs]",
+						r.Name, w, MaxBurnWindow.Seconds())
+				}
 			}
 			if r.FastShortS == 0 {
 				r.FastShortS = defaultFastShortS

@@ -279,17 +279,26 @@ func TestStructuralRules(t *testing.T) {
 }
 
 func TestRulesParsing(t *testing.T) {
-	if _, err := ParseRules([]byte(`{"rules":[{"name":"x","kind":"nope"}]}`)); err == nil {
-		t.Fatal("unknown kind accepted")
+	for _, tc := range []struct {
+		what, doc string
+		rule      string // when set, the error must name this rule
+	}{
+		{"unknown kind", `{"rules":[{"name":"x","kind":"nope"}]}`, ""},
+		{"duplicate names", `{"rules":[{"name":"a","kind":"slow_jobs"},{"name":"a","kind":"slow_jobs"}]}`, ""},
+		{"objective outside (0,1)", `{"rules":[{"name":"b","kind":"burn_rate","objective":1.5}]}`, ""},
+		{"unknown field", `{"rules":[{"name":"b","kind":"burn_rate","objective":0.99,"surprise":1}]}`, ""},
+		{"negative window", `{"rules":[{"name":"neg","kind":"burn_rate","objective":0.99,"fast_short_s":-5}]}`, "neg"},
+		{"window past the SLO ring", `{"rules":[{"name":"long","kind":"burn_rate","objective":0.99,"slow_long_s":3600}]}`, "long"},
+	} {
+		_, err := ParseRules([]byte(tc.doc))
+		if err == nil {
+			t.Errorf("%s accepted", tc.what)
+		} else if tc.rule != "" && !strings.Contains(err.Error(), `"`+tc.rule+`"`) {
+			t.Errorf("%s: error %q does not name rule %q", tc.what, err, tc.rule)
+		}
 	}
-	if _, err := ParseRules([]byte(`{"rules":[{"name":"a","kind":"slow_jobs"},{"name":"a","kind":"slow_jobs"}]}`)); err == nil {
-		t.Fatal("duplicate names accepted")
-	}
-	if _, err := ParseRules([]byte(`{"rules":[{"name":"b","kind":"burn_rate","objective":1.5}]}`)); err == nil {
-		t.Fatal("objective outside (0,1) accepted")
-	}
-	if _, err := ParseRules([]byte(`{"rules":[{"name":"b","kind":"burn_rate","objective":0.99,"surprise":1}]}`)); err == nil {
-		t.Fatal("unknown field accepted")
+	if _, err := ParseRules([]byte(`{"rules":[{"name":"edge","kind":"burn_rate","objective":0.99,"slow_long_s":2048}]}`)); err != nil {
+		t.Fatalf("window at the SLO ring's reach rejected: %v", err)
 	}
 	c, err := ParseRules([]byte(`{"interval_ms":250,"rules":[{"name":"b","kind":"burn_rate","objective":0.99}]}`))
 	if err != nil {
@@ -337,23 +346,6 @@ func TestWriteProm(t *testing.T) {
 	metrics.Write(&b, e.Collect())
 	if strings.Contains(b.String(), "womd_alert_firing") {
 		t.Fatalf("womd_alert_firing emitted with no firing alerts:\n%s", b.String())
-	}
-}
-
-func TestNilEngineSafe(t *testing.T) {
-	var e *Engine
-	e.Start()
-	e.Stop()
-	e.EvalOnce()
-	metrics.Write(&strings.Builder{}, e.Collect())
-	if got := e.Alerts(); got != nil {
-		t.Fatalf("nil Alerts = %v", got)
-	}
-	if _, ok := e.Alert("al-000001"); ok {
-		t.Fatal("nil Alert found something")
-	}
-	if err := e.Reload(DefaultRules()); err == nil {
-		t.Fatal("nil Reload did not error")
 	}
 }
 

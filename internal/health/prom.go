@@ -2,13 +2,8 @@ package health
 
 import "womcpcm/internal/metrics"
 
-// Collect returns the womd_alert_* families, wired into GET /metrics via
-// engine.WithCollector when womd runs with -alerts. Nil on a nil engine,
-// so the collector can be registered unconditionally.
+// Collect returns the womd_alert_* families GET /metrics serves.
 func (e *Engine) Collect() []metrics.Family {
-	if e == nil {
-		return nil
-	}
 	// One series per firing alert; with nothing firing the family has no
 	// samples and so no HELP/TYPE header either.
 	live := metrics.Family{Name: "womd_alert_firing", Help: "One series per firing alert.", Type: "gauge"}

@@ -10,11 +10,6 @@
 //	Span / JobRecord    per-job accounting via runtime/metrics deltas
 //	CollectRuntime      womd_runtime_* families, read at scrape time
 //	ProfileStore        pprof captures of slow jobs
-//
-// The disabled path follows the probe's contract: a nil *Span is inert —
-// every method is a nil check — and attaching a live event counter to a
-// simulation changes no allocation counts (pinned by
-// BenchmarkSpanDisabled and memctrl's TestEventCountDisabledAllocs).
 package perfmon
 
 import (
@@ -65,8 +60,7 @@ type JobRecord struct {
 }
 
 // Span measures one job. Begin samples the runtime counters; End samples
-// them again and returns the deltas. A nil Span is the disabled path: End
-// returns a zero record, Events returns nil, and nothing allocates.
+// them again and returns the deltas.
 type Span struct {
 	start   time.Time
 	cpu     int64
@@ -87,38 +81,18 @@ func Begin() *Span {
 	return s
 }
 
-// Events returns the span's live simulated-event counter, nil on a nil
-// span — callers pass it straight to sim.WithSimEvents, whose nil check
-// keeps the disabled path free.
-func (s *Span) Events() *atomic.Int64 {
-	if s == nil {
-		return nil
-	}
-	return &s.events
-}
+// Events returns the span's live simulated-event counter, for
+// sim.WithSimEvents.
+func (s *Span) Events() *atomic.Int64 { return &s.events }
 
-// LiveEvents returns the events counted so far; 0 on a nil span.
-func (s *Span) LiveEvents() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.events.Load()
-}
+// LiveEvents returns the events counted so far.
+func (s *Span) LiveEvents() int64 { return s.events.Load() }
 
-// Elapsed returns the wall time since Begin; 0 on a nil span.
-func (s *Span) Elapsed() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Since(s.start)
-}
+// Elapsed returns the wall time since Begin.
+func (s *Span) Elapsed() time.Duration { return time.Since(s.start) }
 
-// End closes the span and returns the job's record. Safe to call on a nil
-// span (returns the zero record).
+// End closes the span and returns the job's record.
 func (s *Span) End() JobRecord {
-	if s == nil {
-		return JobRecord{}
-	}
 	wall := time.Since(s.start)
 	cpu := processCPUNs()
 	var after [len(spanSampleNames)]metrics.Sample

@@ -38,46 +38,8 @@ func TestSpanRecordsWork(t *testing.T) {
 	}
 }
 
-func TestSpanNilIsInert(t *testing.T) {
-	var s *Span
-	if s.Events() != nil {
-		t.Error("nil span returned a live counter")
-	}
-	if s.LiveEvents() != 0 || s.Elapsed() != 0 {
-		t.Error("nil span reported progress")
-	}
-	if rec := s.End(); rec != (JobRecord{}) {
-		t.Errorf("nil span End = %+v, want zero", rec)
-	}
-}
-
-// TestSpanDisabledAllocs pins the nil-check contract: the disabled path —
-// a nil span threaded through Events/LiveEvents/End — allocates nothing.
-func TestSpanDisabledAllocs(t *testing.T) {
-	var s *Span
-	allocs := testing.AllocsPerRun(100, func() {
-		_ = s.Events()
-		_ = s.LiveEvents()
-		_ = s.End()
-	})
-	if allocs != 0 {
-		t.Errorf("disabled span path allocates %v per run, want 0", allocs)
-	}
-}
-
-// BenchmarkSpanDisabled is the pinned zero-cost benchmark for the disabled
-// path (compare the allocs/op column: must stay 0).
-func BenchmarkSpanDisabled(b *testing.B) {
-	var s *Span
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = s.Events()
-		_ = s.End()
-	}
-}
-
-// BenchmarkSpanEnabled measures the enabled path's fixed per-job cost.
-func BenchmarkSpanEnabled(b *testing.B) {
+// BenchmarkSpan measures a span's fixed per-job cost.
+func BenchmarkSpan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := Begin()

@@ -2,9 +2,13 @@ package sched
 
 import "time"
 
-// sloRingSeconds is the attainment ring's horizon in one-second buckets:
-// long enough to answer the slowest burn-rate window (30 m = 1800 s) with
-// slack, small enough (~32 KiB/tenant) to keep per tenant forever.
+// SLOHorizon is the attainment ring's reach: long enough to answer the
+// slowest burn-rate window (30 m = 1800 s) with slack, small enough
+// (~32 KiB/tenant) to keep per tenant forever. WindowSLO answers no
+// longer window, and SeedSLO ignores older seconds.
+const SLOHorizon = sloRingSeconds * time.Second
+
+// sloRingSeconds is SLOHorizon in the ring's one-second buckets.
 const sloRingSeconds = 2048
 
 // sloRing is a per-second ring of SLO outcomes observed at dequeue. Each

@@ -95,7 +95,7 @@ func (s *Scheduler) Views() []TenantView {
 }
 
 // Collect returns the womd_tenant_* metric families, wired into
-// GET /metrics via engine.WithCollector.
+// GET /metrics via engine.Manager.Collect.
 func (s *Scheduler) Collect() []metrics.Family {
 	fams := []metrics.Family{
 		{Name: "womd_tenant_depth", Help: "Queued jobs per tenant.", Type: "gauge"},

@@ -6,27 +6,7 @@ import (
 	"womcpcm/internal/metrics"
 )
 
-// The disabled history plane (-history=false → nil *DB) must cost one
-// pointer check and zero allocations on the job hot path, matching the
-// probe/span/exemplar nil-contracts.
-func TestObserveJobDisabledZeroAlloc(t *testing.T) {
-	var db *DB
-	if allocs := testing.AllocsPerRun(1000, func() {
-		db.ObserveJob("conf_date", 0.123)
-	}); allocs != 0 {
-		t.Fatalf("nil ObserveJob allocated %v times per run", allocs)
-	}
-}
-
-func BenchmarkObserveJobDisabled(b *testing.B) {
-	var db *DB
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		db.ObserveJob("conf_date", 0.123)
-	}
-}
-
-func BenchmarkObserveJobEnabled(b *testing.B) {
+func BenchmarkObserveJob(b *testing.B) {
 	db, err := Open(Options{})
 	if err != nil {
 		b.Fatal(err)

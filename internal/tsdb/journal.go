@@ -15,11 +15,8 @@ import (
 // AppendAlertTransition journals one alert lifecycle event. The alert
 // body is carried opaquely (the health plane's own JSON view), so the
 // store does not couple to its schema. Transitions persist immediately —
-// they are rare and each one matters across a restart. No-op on nil.
+// they are rare and each one matters across a restart.
 func (db *DB) AppendAlertTransition(at time.Time, to, key string, alert json.RawMessage) {
-	if db == nil {
-		return
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -37,11 +34,8 @@ func (db *DB) AppendAlertTransition(at time.Time, to, key string, alert json.Raw
 
 // AlertHistory returns journaled transitions newest-first, bounded by
 // limit (0 = all held) and optionally to [from, to] (zero times skip the
-// bound). Nil DB returns nil.
+// bound).
 func (db *DB) AlertHistory(from, to time.Time, limit int) []Transition {
-	if db == nil {
-		return nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]Transition, 0, len(db.transitions))
@@ -63,11 +57,8 @@ func (db *DB) AlertHistory(from, to time.Time, limit int) []Transition {
 
 // ActiveAlerts returns the latest pending/firing transition per alert
 // key — the set a restarted process should rehydrate. Sorted by key for
-// determinism. Nil DB returns nil.
+// determinism.
 func (db *DB) ActiveAlerts() []Transition {
-	if db == nil {
-		return nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]Transition, 0, len(db.activeAlerts))

@@ -11,6 +11,12 @@ import (
 // 400.
 var ErrBadQuery = errors.New("tsdb: bad query")
 
+// MaxQueryPoints bounds a range query's output grid, (end−start)/step, as
+// Prometheus does. The grid is walked per matching series under the
+// store's lock, which every finished job's ObserveJob also takes, so an
+// unbounded grid would stall the job workers.
+const MaxQueryPoints = 11000
+
 // RangeQuery asks for one metric's aggregated history. Every output point
 // at time t summarizes the half-open window [t-step, t) — the same
 // orientation the downsampler's buckets use, so a tier bucket nests
@@ -52,11 +58,8 @@ type SeriesInfo struct {
 var validAggs = map[string]bool{"rate": true, "avg": true, "min": true, "max": true, "sum": true}
 
 // QueryRange evaluates q against every matching series. Windows with no
-// data are omitted, not zero-filled. Nil DB returns an empty result.
+// data are omitted, not zero-filled.
 func (db *DB) QueryRange(q RangeQuery) ([]SeriesResult, error) {
-	if db == nil {
-		return nil, nil
-	}
 	if q.Metric == "" {
 		return nil, fmt.Errorf("%w: metric is required", ErrBadQuery)
 	}
@@ -74,6 +77,10 @@ func (db *DB) QueryRange(q RangeQuery) ([]SeriesResult, error) {
 		if q.StepMs < 1000 {
 			q.StepMs = 1000
 		}
+	}
+	if n := (q.EndMs - q.StartMs) / q.StepMs; n > MaxQueryPoints {
+		return nil, fmt.Errorf("%w: %d points exceed the limit of %d; raise step",
+			ErrBadQuery, n, MaxQueryPoints)
 	}
 
 	db.mu.Lock()
@@ -314,11 +321,8 @@ func collectBuckets(q RangeQuery, value func(be int64) (float64, bool)) []Point 
 }
 
 // Series lists held series, optionally restricted to one metric, sorted
-// by key. Nil DB returns nil.
+// by key.
 func (db *DB) Series(metric string) []SeriesInfo {
-	if db == nil {
-		return nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var out []SeriesInfo
@@ -343,12 +347,8 @@ func (db *DB) Series(metric string) []SeriesInfo {
 }
 
 // RawSamples returns a series' raw samples in [fromMs, toMs] — the
-// backfill feed for burn-rate windows after a restart. Nil DB returns
-// nil.
+// backfill feed for burn-rate windows after a restart.
 func (db *DB) RawSamples(metric string, match map[string]string, fromMs, toMs int64) []Point {
-	if db == nil {
-		return nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	key := canonicalKey(metric, match)

@@ -230,9 +230,7 @@ type record struct {
 	Transition *Transition `json:"transition,omitempty"`
 }
 
-// DB is the history store. All exported methods are safe on a nil
-// receiver — they no-op or return zero values — so womd threads one
-// pointer through regardless of -history.
+// DB is the history store. Its methods are safe for concurrent use.
 type DB struct {
 	opts Options
 	now  func() time.Time
@@ -436,12 +434,9 @@ func (db *DB) aggsFor(s *series) []*aggState {
 }
 
 // Start launches the self-scrape loop. gather returns the families to
-// record (engine Server.Collect); it is called outside the DB lock, so
-// they may include the DB's own Collect families. No-op on nil.
+// record (engine Manager.Collect); it is called outside the DB lock, so
+// they may include the DB's own Collect families.
 func (db *DB) Start(gather func() []metrics.Family) {
-	if db == nil || gather == nil {
-		return
-	}
 	db.mu.Lock()
 	if db.started || db.closed {
 		db.mu.Unlock()
@@ -469,11 +464,8 @@ func (db *DB) Start(gather func() []metrics.Family) {
 
 // ScrapeOnce gathers the families once and ingests every sample at the
 // current time, keyed by family name plus suffix and the sample's labels.
-// Exposed for deterministic tests and the smoke script. No-op on nil.
+// Exposed for deterministic tests and the smoke script.
 func (db *DB) ScrapeOnce(gather func() []metrics.Family) {
-	if db == nil || gather == nil {
-		return
-	}
 	fams := gather() // outside db.mu: the families include db.Collect
 
 	db.mu.Lock()
@@ -502,11 +494,7 @@ func (db *DB) ScrapeOnce(gather func() []metrics.Family) {
 }
 
 // Append ingests one sample directly (backfill, ObserveJob, tests).
-// No-op on nil.
 func (db *DB) Append(metric string, labels map[string]string, t int64, v float64) {
-	if db == nil {
-		return
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -516,13 +504,8 @@ func (db *DB) Append(metric string, labels map[string]string, t int64, v float64
 }
 
 // ObserveJob records one finished job's wall time under the experiment's
-// history series. The disabled path (nil DB) is one pointer check and
-// zero allocations — the job hot path contract shared with probe, span,
-// and exemplars.
+// history series.
 func (db *DB) ObserveJob(experiment string, wallSeconds float64) {
-	if db == nil {
-		return
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -730,11 +713,8 @@ func (db *DB) appendRecord(rec record, maxT int64) error {
 
 // Close stops the scrape loop, seals every head, finalizes every open
 // aggregate bucket, and flushes all of it — a graceful restart loses
-// nothing. No-op on nil.
+// nothing.
 func (db *DB) Close() error {
-	if db == nil {
-		return nil
-	}
 	db.mu.Lock()
 	started := db.started
 	db.started = false
@@ -765,16 +745,8 @@ func (db *DB) Close() error {
 	return db.seg.Close()
 }
 
-// Enabled reports whether history exists (false on nil), so callers can
-// gate optional UI without poking internals.
-func (db *DB) Enabled() bool { return db != nil }
-
-// Collect returns the history plane's own womd_history_* families. Nil
-// on a nil DB.
+// Collect returns the history plane's own womd_history_* families.
 func (db *DB) Collect() []metrics.Family {
-	if db == nil {
-		return nil
-	}
 	db.mu.Lock()
 	nSeries := len(db.series)
 	var nChunks, nBytes, nAgg int
@@ -805,12 +777,4 @@ func (db *DB) Collect() []metrics.Family {
 		metrics.Counter("womd_history_samples_total", "Samples ingested.", float64(samples)),
 		metrics.Gauge("womd_history_alert_transitions", "Alert lifecycle events held in history.", float64(transitions)),
 	}
-}
-
-// ScrapeInterval reports the configured self-scrape cadence (0 on nil).
-func (db *DB) ScrapeInterval() time.Duration {
-	if db == nil {
-		return 0
-	}
-	return db.opts.ScrapeInterval
 }

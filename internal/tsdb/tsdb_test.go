@@ -131,10 +131,15 @@ func TestQueryValidation(t *testing.T) {
 		{Metric: "m", StartMs: 5, EndMs: 5},
 		{Metric: "m", StartMs: 0, EndMs: 1, Agg: "median"},
 		{Metric: "m", StartMs: 0, EndMs: 1, TierStep: 3 * time.Second},
+		{Metric: "m", StartMs: 0, EndMs: MaxQueryPoints + 1, StepMs: 1},
+		{Metric: "m", StartMs: 0, EndMs: 1_700_000_000_000, StepMs: 1},
 	} {
 		if _, err := db.QueryRange(q); !errors.Is(err, ErrBadQuery) {
 			t.Fatalf("query %+v: err=%v, want ErrBadQuery", q, err)
 		}
+	}
+	if _, err := db.QueryRange(RangeQuery{Metric: "m", StartMs: 0, EndMs: MaxQueryPoints, StepMs: 1}); err != nil {
+		t.Fatalf("grid of exactly MaxQueryPoints refused: %v", err)
 	}
 }
 
@@ -547,30 +552,6 @@ func TestRetentionPruneAndSegmentGC(t *testing.T) {
 func TestCanonicalKey(t *testing.T) {
 	if canonicalKey("m", map[string]string{"b": "2", "a": "1"}) != `m{a="1",b="2"}` {
 		t.Fatal("canonicalKey not sorted")
-	}
-}
-
-func TestNilDBIsInert(t *testing.T) {
-	var db *DB
-	db.Start(nil)
-	db.ScrapeOnce(func() []metrics.Family { return nil })
-	db.Append("m", nil, 1, 2)
-	db.ObserveJob("exp", 0.5)
-	db.AppendAlertTransition(time.Now(), "firing", "k", nil)
-	if db.Collect() != nil {
-		t.Fatal("nil DB collected families")
-	}
-	if db.Enabled() {
-		t.Fatal("nil DB reports enabled")
-	}
-	if res, err := db.QueryRange(RangeQuery{Metric: "m", StartMs: 0, EndMs: 1}); res != nil || err != nil {
-		t.Fatalf("nil query: %v %v", res, err)
-	}
-	if db.Series("") != nil || db.ActiveAlerts() != nil || db.AlertHistory(time.Time{}, time.Time{}, 0) != nil {
-		t.Fatal("nil accessors returned data")
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,7 +4,8 @@
 # Builds womd and womtool, starts womd with a persistent -history-dir and
 # a fast scrape interval, runs jobs, and asserts the embedded TSDB
 # answers: /v1/series discovers scraped families, /v1/query_range returns
-# points, and a firing alert lands in /v1/alerts/history. Then restarts
+# points and refuses an oversized grid, and a firing alert lands in
+# /v1/alerts/history. Then restarts
 # the daemon against the same directory and asserts continuity: history
 # from before the restart still answers queries, the alert journal
 # survived, and the restored alert is re-evaluated (still firing) within
@@ -91,6 +92,11 @@ curl -fsS "$BASE/v1/query_range?metric=womd_uptime_seconds&agg=max&$range" \
     | grep -q '"points": *\[' || fail "query_range returned no points"
 curl -fsS -o /dev/null -w '%{http_code}' "$BASE/v1/query_range?metric=womd_up&start=9&end=5" \
     | grep -q 400 || fail "bad query_range did not 400"
+# A grid past 11,000 points is refused before it can hold the history
+# lock that every finishing job takes.
+curl -sS --max-time 10 -o /dev/null -w '%{http_code}' \
+    "$BASE/v1/query_range?metric=womd_uptime_seconds&start=0&end=$now&step=1ms" \
+    | grep -q 400 || fail "oversized query_range grid did not 400"
 
 echo "==> saturating the queue so queue-hot fires and is journaled"
 i=0
