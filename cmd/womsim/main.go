@@ -35,14 +35,10 @@ import (
 	"strings"
 	"time"
 
-	"womcpcm/internal/core"
 	"womcpcm/internal/energy"
 	"womcpcm/internal/resultstore"
 	"womcpcm/internal/sim"
-	"womcpcm/internal/stats"
 	"womcpcm/internal/telemetry"
-	"womcpcm/internal/trace"
-	"womcpcm/internal/workload"
 )
 
 // figAll is the experiment list `-fig all` runs, in output order.
@@ -139,7 +135,7 @@ func main() {
 		return
 	}
 	if *detail != "" {
-		if err := printDetail(params, *detail); err != nil {
+		if err := printDetail(os.Stdout, params, *detail); err != nil {
 			fatal(err)
 		}
 		return
@@ -246,41 +242,22 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func printDetail(params sim.Params, bench string) error {
-	p, err := workload.ProfileByName(bench)
+// printDetail writes to w the full run summary of bench on every
+// architecture, then the energy comparison of the four runs.
+func printDetail(w io.Writer, params sim.Params, bench string) error {
+	params.Bench, params.Suite = []string{bench}, ""
+	runs, err := sim.Arches(context.Background(), params)
 	if err != nil {
 		return err
 	}
-	cfg, err := params.Config(context.Background())
-	if err != nil {
-		return err
-	}
-	var runs []*stats.Run
-	for _, a := range core.Arches() {
-		opts := core.DefaultOptions()
-		opts.Geometry = cfg.Geometry
-		sys, err := core.NewSystem(a, opts)
-		if err != nil {
-			return err
-		}
-		gen, err := workload.NewGenerator(p, cfg.Geometry, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		run, err := sys.Simulate(trace.NewLimit(gen, cfg.Requests))
-		if err != nil {
-			return err
-		}
-		run.Workload = p.Name
-		runs = append(runs, run)
-		fmt.Print(run.Summary())
-		fmt.Println()
+	for _, run := range runs {
+		fmt.Fprintln(w, run.Summary())
 	}
 	table, err := energy.Compare(energy.Default(), runs)
 	if err != nil {
 		return err
 	}
-	fmt.Println("energy (internal/energy default pricing; §3.2 refresh = read + row write):")
-	fmt.Print(table)
-	return nil
+	fmt.Fprintln(w, "energy (internal/energy default pricing; §3.2 refresh = read + row write):")
+	_, err = fmt.Fprint(w, table)
+	return err
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -18,34 +19,35 @@ import (
 // telemetry collector attached and writes the windowed time series of every
 // architecture into a single JSON document — the input of `womtool report`.
 func runSeries(params sim.Params, path string, window time.Duration) error {
-	b, err := pickBench(params, "series")
-	if err != nil {
-		return err
-	}
 	windowNs := window.Nanoseconds()
 	if windowNs <= 0 {
 		windowNs = telemetry.DefaultWindowNs
 	}
+	series := make([]telemetry.Series, len(core.Arches()))
+	runs, err := runArches(params, "series", sim.Observer{
+		Attach: func(arch string, cfg memctrl.Config) ([]probe.Sink, func(*stats.Run)) {
+			col := telemetry.New(telemetry.Options{WindowNs: windowNs, Banks: cfg.Servers()})
+			return []probe.Sink{col}, func(run *stats.Run) {
+				series[archIndex(arch)] = *col.Finish(arch, run.SimulatedNs)
+			}
+		},
+	})
+	if err != nil {
+		return err
+	}
+	for i, s := range series {
+		fmt.Fprintf(os.Stderr, "womsim: %-16s %d windows of %s, %.2f ms simulated, %d writes\n",
+			s.Arch, len(s.Windows), window, float64(runs[i].SimulatedNs)/1e6, s.Totals().Total())
+	}
 
 	doc := telemetry.Document{
 		Schema:   telemetry.SchemaVersion,
-		Workload: b.profile.Name,
-		Requests: b.requests,
-		Seed:     b.seed,
+		Workload: runs[0].Workload,
+		Requests: requests(runs[0]),
+		Seed:     cmp.Or(params.Seed, 1), // Params' zero seed runs as seed 1
 		WindowNs: windowNs,
+		Series:   series,
 	}
-	if err := b.eachArch(func(a core.Arch, cfg memctrl.Config) ([]probe.Sink, func(*stats.Run)) {
-		col := telemetry.New(telemetry.Options{WindowNs: windowNs, Banks: cfg.Servers()})
-		return []probe.Sink{col}, func(run *stats.Run) {
-			s := col.Finish(a.String(), run.SimulatedNs)
-			doc.Series = append(doc.Series, *s)
-			fmt.Fprintf(os.Stderr, "womsim: %-16s %d windows of %s, %.2f ms simulated, %d writes\n",
-				a.String(), len(s.Windows), window, float64(run.SimulatedNs)/1e6, s.Totals().Total())
-		}
-	}); err != nil {
-		return err
-	}
-
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -19,30 +19,32 @@ import (
 // and busy intervals as slices. The file opens directly in Perfetto
 // (ui.perfetto.dev) or chrome://tracing.
 func runTimeline(params sim.Params, path string, limit int) error {
-	b, err := pickBench(params, "timeline")
+	sinks := make([]*probe.TimelineSink, len(core.Arches()))
+	counters := make([]*probe.CounterSink, len(core.Arches()))
+	runs, err := runArches(params, "timeline", sim.Observer{
+		Attach: func(arch string, _ memctrl.Config) ([]probe.Sink, func(*stats.Run)) {
+			i := archIndex(arch)
+			sinks[i] = probe.NewTimelineSink(i+1, arch, limit)
+			counters[i] = probe.NewCounterSink()
+			return []probe.Sink{counters[i], sinks[i]}, nil
+		},
+	})
 	if err != nil {
 		return err
 	}
-	var sinks []*probe.TimelineSink
-	if err := b.eachArch(func(a core.Arch, _ memctrl.Config) ([]probe.Sink, func(*stats.Run)) {
-		tl := probe.NewTimelineSink(len(sinks)+1, a.String(), limit)
-		sinks = append(sinks, tl)
-		counters := probe.NewCounterSink()
-		return []probe.Sink{counters, tl}, func(run *stats.Run) {
-			fmt.Fprintf(os.Stderr, "womsim: %-16s %d events (%d dropped), %d requests, %.2f ms simulated\n",
-				a.String(), tl.Len(), tl.Dropped(), b.requests, float64(run.SimulatedNs)/1e6)
-			counts := counters.Counts()
-			kinds := make([]string, 0, len(counts))
-			for k := range counts {
-				kinds = append(kinds, k)
-			}
-			sort.Strings(kinds)
-			for _, k := range kinds {
-				fmt.Fprintf(os.Stderr, "womsim:   %-20s %d\n", k, counts[k])
-			}
+	for i, tl := range sinks {
+		run := runs[i]
+		fmt.Fprintf(os.Stderr, "womsim: %-16s %d events (%d dropped), %d requests, %.2f ms simulated\n",
+			run.Arch, tl.Len(), tl.Dropped(), requests(run), float64(run.SimulatedNs)/1e6)
+		counts := counters[i].Counts()
+		kinds := make([]string, 0, len(counts))
+		for k := range counts {
+			kinds = append(kinds, k)
 		}
-	}); err != nil {
-		return err
+		sort.Strings(kinds)
+		for _, k := range kinds {
+			fmt.Fprintf(os.Stderr, "womsim:   %-20s %d\n", k, counts[k])
+		}
 	}
 
 	f, err := os.Create(path)

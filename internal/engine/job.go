@@ -82,7 +82,7 @@ type Job struct {
 	traceEnqueued time.Time
 
 	// progress counts records processed against the job's known total,
-	// fed lock-free by the running experiment (sim.WithProgress). Done
+	// fed lock-free by the running experiment (sim.Observer.Progress). Done
 	// only grows — see setProgress — so pollers observe a monotone gauge.
 	progressDone  atomic.Int64
 	progressTotal atomic.Int64

@@ -668,24 +668,26 @@ func (m *Manager) recordQueueWait(job *Job) {
 	m.cfg.Tracer.Record(job.trace, "queue_wait", job.traceEnqueued, time.Now(), attrs)
 }
 
-// jobContext decorates a running job's context with the live feeds: the
-// monotone progress gauge plus stream events (sim.WithProgress), windowed
-// telemetry for stream subscribers (sim.WithTelemetry), write-class
-// accounting into both the service metrics and the job's own counters
-// (sim.WithClassCounts), and the live event counter the perf span and the
-// slow-job monitor read (sim.WithSimEvents).
+// jobContext decorates a running job's context with one sim.Observer
+// carrying the live feeds: the monotone progress gauge plus stream events,
+// windowed telemetry for stream subscribers, write-class accounting into
+// both the service metrics and the job's own counters, and the live event
+// counter the perf span and the slow-job monitor read.
 func (m *Manager) jobContext(ctx context.Context, job *Job) context.Context {
-	ctx = sim.WithProgress(ctx, job.reportProgress)
-	if hub := job.hub; hub != nil {
-		ctx = sim.WithTelemetry(ctx, func(arch string, w telemetry.Window) {
-			publish(hub, "window", streamWindow{Arch: arch, Window: w})
-		}, 0)
+	obs := sim.Observer{
+		Progress: job.reportProgress,
+		ClassCounts: func(counts [probe.NumWriteKinds]uint64) {
+			m.metrics.AddWriteClasses(counts)
+			job.addClassCounts(counts)
+		},
+		Events: job.span.Load().Events(),
 	}
-	ctx = sim.WithClassCounts(ctx, func(counts [probe.NumWriteKinds]uint64) {
-		m.metrics.AddWriteClasses(counts)
-		job.addClassCounts(counts)
-	})
-	return sim.WithSimEvents(ctx, job.span.Load().Events())
+	if hub := job.hub; hub != nil {
+		obs.Telemetry = func(arch string, w telemetry.Window) {
+			publish(hub, "window", streamWindow{Arch: arch, Window: w})
+		}
+	}
+	return sim.WithObserver(ctx, obs)
 }
 
 // storeResult persists one successful cacheable run. Store failures do not

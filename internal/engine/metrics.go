@@ -29,7 +29,7 @@ type Metrics struct {
 	StoreErrors atomic.Uint64 // failed result-store appends (job still succeeds)
 
 	// WriteClasses counts simulated row writes by probe write kind across
-	// every executed job (fed per-simulation via sim.WithClassCounts).
+	// every executed job (fed per-simulation via sim.Observer.ClassCounts).
 	WriteClasses [probe.NumWriteKinds]atomic.Uint64
 	// SimEvents counts simulator event-loop steps across every executed
 	// job; ProfilesCaptured counts slow-job pprof captures.

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -25,8 +26,8 @@ type TenantStat struct {
 }
 
 // Signals wires the evaluator to the rest of the process. Every field is
-// optional — a nil func means that signal plane is not configured and
-// rules over it never produce violations.
+// required; a func that reports ok false has nothing to say this pass, and
+// rules over it produce no violation.
 type Signals struct {
 	// Queue reports engine queue occupancy (queue_saturation).
 	Queue func() (QueueStat, bool)
@@ -132,8 +133,13 @@ type Engine struct {
 }
 
 // NewEngine builds an Engine; call Start to begin evaluating, or EvalOnce
-// for deterministic manual passes (tests). Invalid rules return an error.
+// for deterministic manual passes (tests). Invalid rules, or a Signals
+// field left nil, return an error.
 func NewEngine(cfg Config) (*Engine, error) {
+	sig := cfg.Signals
+	if sig.Queue == nil || sig.Tenants == nil || sig.TenantSLO == nil || sig.SlowCaptures == nil {
+		return nil, errors.New("health: every Signals field must be set")
+	}
 	if len(cfg.Rules.Rules) == 0 {
 		cfg.Rules = DefaultRules()
 	} else if err := cfg.Rules.Validate(); err != nil {
@@ -343,9 +349,6 @@ func (e *Engine) collectLocked(now time.Time) []violation {
 
 func (e *Engine) burnRate(out []violation, r *Rule) []violation {
 	sig := e.cfg.Signals
-	if sig.Tenants == nil || sig.TenantSLO == nil {
-		return out
-	}
 	budget := 1 - r.Objective
 	for _, t := range sig.Tenants() {
 		if r.Tenant != "" && r.Tenant != t.Name {
@@ -398,9 +401,6 @@ func (e *Engine) burnRate(out []violation, r *Rule) []violation {
 }
 
 func (e *Engine) queueSaturation(out []violation, r *Rule) []violation {
-	if e.cfg.Signals.Queue == nil {
-		return out
-	}
 	qs, ok := e.cfg.Signals.Queue()
 	if !ok || qs.Cap <= 0 {
 		return out
@@ -423,9 +423,6 @@ func (e *Engine) queueSaturation(out []violation, r *Rule) []violation {
 }
 
 func (e *Engine) shedRate(out []violation, r *Rule, now time.Time) []violation {
-	if e.cfg.Signals.Tenants == nil {
-		return out
-	}
 	for _, t := range e.cfg.Signals.Tenants() {
 		if r.Tenant != "" && r.Tenant != t.Name {
 			continue
@@ -451,9 +448,6 @@ func (e *Engine) shedRate(out []violation, r *Rule, now time.Time) []violation {
 // counterRateRule handles the single-subject cumulative-counter kinds.
 func (e *Engine) counterRateRule(out []violation, r *Rule, now time.Time,
 	read func() (uint64, bool), subject, what, unit string, exemplarKeys []string) []violation {
-	if read == nil {
-		return out
-	}
 	val, ok := read()
 	if !ok {
 		return out

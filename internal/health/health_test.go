@@ -16,10 +16,29 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// fullSignals returns s with every field it leaves nil set to a signal
+// that reports nothing (ok false, no tenants), since NewEngine requires
+// all four.
+func fullSignals(s Signals) Signals {
+	if s.Queue == nil {
+		s.Queue = func() (QueueStat, bool) { return QueueStat{}, false }
+	}
+	if s.Tenants == nil {
+		s.Tenants = func() []TenantStat { return nil }
+	}
+	if s.TenantSLO == nil {
+		s.TenantSLO = func(string, time.Duration) (uint64, uint64, bool) { return 0, 0, false }
+	}
+	if s.SlowCaptures == nil {
+		s.SlowCaptures = func() (uint64, bool) { return 0, false }
+	}
+	return s
+}
+
 // burnSignals builds a tenant whose windowed attainment is controlled by
 // the test through a pointer.
 func burnSignals(attainment *float64) Signals {
-	return Signals{
+	return fullSignals(Signals{
 		Tenants: func() []TenantStat {
 			return []TenantStat{{Name: "interactive", DeadlineMs: 50}}
 		},
@@ -30,7 +49,7 @@ func burnSignals(attainment *float64) Signals {
 			// 1000 samples at the requested attainment, every window.
 			return uint64(*attainment * 1000), 1000, true
 		},
-	}
+	})
 }
 
 func burnRules(forS, keepS float64) RulesConfig {
@@ -219,13 +238,13 @@ func TestStructuralRules(t *testing.T) {
 			{Name: "shed", Kind: KindShedRate, Threshold: 0.5},
 			{Name: "slow", Kind: KindSlowJobs},
 		}},
-		Signals: Signals{
+		Signals: fullSignals(Signals{
 			Queue: func() (QueueStat, bool) { return qs, true },
 			Tenants: func() []TenantStat {
 				return []TenantStat{{Name: "batch", Sheds: sheds}}
 			},
 			SlowCaptures: func() (uint64, bool) { return captures, true },
-		},
+		}),
 		Now: clk.now,
 	})
 	if err != nil {
@@ -390,6 +409,26 @@ func TestLoadRulesRejectsRetiredKinds(t *testing.T) {
 		_, err := LoadRules(path)
 		if err == nil || !strings.Contains(err.Error(), `unknown kind "`+kind+`"`) {
 			t.Errorf("LoadRules with kind %s: err = %v, want unknown kind", kind, err)
+		}
+	}
+}
+
+// TestNewEngineRequiresSignals: an engine with any signal left nil is
+// refused, so the rules never run against an absent signal.
+func TestNewEngineRequiresSignals(t *testing.T) {
+	if _, err := NewEngine(Config{Signals: fullSignals(Signals{})}); err != nil {
+		t.Fatalf("full signals: %v", err)
+	}
+	for name, clear := range map[string]func(*Signals){
+		"Queue":        func(s *Signals) { s.Queue = nil },
+		"Tenants":      func(s *Signals) { s.Tenants = nil },
+		"TenantSLO":    func(s *Signals) { s.TenantSLO = nil },
+		"SlowCaptures": func(s *Signals) { s.SlowCaptures = nil },
+	} {
+		s := fullSignals(Signals{})
+		clear(&s)
+		if _, err := NewEngine(Config{Signals: s}); err == nil {
+			t.Errorf("NewEngine without %s succeeded", name)
 		}
 	}
 }

@@ -69,7 +69,7 @@ type Span struct {
 }
 
 // Begin starts a span. The returned span's Events counter can be attached
-// to simulations (sim.WithSimEvents) so the span observes live progress.
+// to simulations (sim.Observer.Events) so the span observes live progress.
 func Begin() *Span {
 	s := &Span{}
 	for i, name := range spanSampleNames {
@@ -82,7 +82,7 @@ func Begin() *Span {
 }
 
 // Events returns the span's live simulated-event counter, for
-// sim.WithSimEvents.
+// sim.Observer.Events.
 func (s *Span) Events() *atomic.Int64 { return &s.events }
 
 // LiveEvents returns the events counted so far.

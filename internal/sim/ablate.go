@@ -2,6 +2,7 @@ package sim
 
 import (
 	"womcpcm/internal/memctrl"
+	"womcpcm/internal/pcm"
 	"womcpcm/internal/stats"
 )
 
@@ -136,6 +137,13 @@ func CodeAblation(cfg ExpConfig, rewrites []int) (*CodeAblationResult, error) {
 	return runOne[*CodeAblationResult](cfg, func(cfg ExpConfig, _ Params) (plan, error) { return codePlan(cfg, rewrites), nil })
 }
 
+// codeBound is §3.2's analytic limit (k−1+S)/(kS) on WOM-code PCM's write
+// latency normalized to conventional PCM, with S = SET/RESET latency.
+func codeBound(k int, t pcm.Timing) float64 {
+	s := float64(t.Set) / float64(t.Reset)
+	return (float64(k) - 1 + s) / (float64(k) * s)
+}
+
 func codePlan(cfg ExpConfig, rewrites []int) plan {
 	cfgs := []memctrl.Config{cfg.baseline()}
 	for _, k := range rewrites {
@@ -144,14 +152,13 @@ func codePlan(cfg ExpConfig, rewrites []int) plan {
 		cfgs = append(cfgs, mc)
 	}
 	return plan{grid(cfg.Profiles, cfgs...), func(runs []*stats.Run) (any, string, error) {
-		s := float64(cfg.Timing.Set) / float64(cfg.Timing.Reset)
 		res := &CodeAblationResult{
 			Rewrites:  append([]int(nil), rewrites...),
 			NormWrite: make([]float64, len(rewrites)),
 			Bound:     make([]float64, len(rewrites)),
 		}
 		for i, k := range rewrites {
-			res.Bound[i] = (float64(k) - 1 + s) / (float64(k) * s)
+			res.Bound[i] = codeBound(k, cfg.Timing)
 		}
 		for p := range cfg.Profiles {
 			runs := runs[p*len(cfgs) : (p+1)*len(cfgs)]

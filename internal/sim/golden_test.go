@@ -87,7 +87,7 @@ func figDigest(t *testing.T, results []*Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// goldenReplayTelemetryDigest pins the sha256 of sim.Replay's WithTelemetry
+// goldenReplayTelemetryDigest pins the sha256 of sim.Replay's telemetry
 // windows for 20000 qsort records (seed 1, default geometry and window):
 // each architecture's windows in index order, JSON-encoded, concatenated in
 // core.Arches() order.
@@ -106,11 +106,11 @@ func TestGoldenReplayTelemetryDigest(t *testing.T) {
 		mu      sync.Mutex
 		windows = map[string][]telemetry.Window{}
 	)
-	ctx := WithTelemetry(context.Background(), func(arch string, w telemetry.Window) {
+	ctx := WithObserver(context.Background(), Observer{Telemetry: func(arch string, w telemetry.Window) {
 		mu.Lock()
 		windows[arch] = append(windows[arch], w)
 		mu.Unlock()
-	}, 0)
+	}})
 	if _, err := Replay(ExpConfig{Ctx: ctx}, "golden", recs); err != nil {
 		t.Fatal(err)
 	}

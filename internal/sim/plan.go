@@ -199,7 +199,7 @@ func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*sta
 			default:
 				ctrl = new(memctrl.Controller)
 			}
-			runs[j], err = runCell(cfg.Ctx, c, g.recs, nil, "", ctrl)
+			runs[j], err = runCell(cfg.Ctx, c, g.recs, nil, ctrl)
 			free <- ctrl
 		}
 		if g.pending.Add(-1) == 0 && g.recs != nil {
@@ -220,24 +220,20 @@ func runCells(cfg ExpConfig, cells []cell, gen traceGen, dropped func()) ([]*sta
 	return out, nil
 }
 
-// runCell simulates c over recs on ctrl with the instruments ctx asks for
-// attached (see instrument; arch labels telemetry and is set by Replay only)
-// and labels the run with c's workload. A plain-controller cell resets ctrl
-// to its config and reads src, a source of recs (nil selects a plain slice
-// source; Replay counts progress through its own). A multi-channel cell
+// runCell simulates c over recs on ctrl with the instruments of ctx's
+// Observer attached (see instrument; rep is set by Replay only) and labels
+// the run with c's workload. A plain-controller cell resets ctrl to its
+// config and reads recs through instrument's source. A multi-channel cell
 // runs its channels one after another on ctrl (memctrl.RunChannels),
 // reading recs in place; since they run in turn, they share one probe.
-func runCell(ctx context.Context, c cell, recs []trace.Record, src trace.Source, arch string, ctrl *memctrl.Controller) (*stats.Run, error) {
+func runCell(ctx context.Context, c cell, recs []trace.Record, rep *replayArch, ctrl *memctrl.Controller) (*stats.Run, error) {
 	cfg := c.cfg
-	report := instrument(ctx, &cfg, arch)
+	src, report := instrument(ctx, &cfg, recs, rep)
 	var (
 		run *stats.Run
 		err error
 	)
 	if c.channels == 0 {
-		if src == nil {
-			src = trace.NewSliceSource(recs)
-		}
 		if err = ctrl.Reset(cfg); err != nil {
 			return nil, err
 		}
@@ -271,9 +267,9 @@ func runOne[T any](cfg ExpConfig, build func(ExpConfig, Params) (plan, error)) (
 
 // Run runs exps under one set of params as a single plan: each distinct
 // simulation across them runs once, over traces generated once, and the
-// results come back in exps order. Instruments on ctx (WithClassCounts,
-// WithSimEvents) therefore report once per simulation actually run. ctx
-// cancels the run between simulations.
+// results come back in exps order. The Observer on ctx (WithObserver)
+// therefore reports once per simulation actually run. ctx cancels the run
+// between simulations.
 func Run(ctx context.Context, p Params, exps ...Experiment) ([]*Result, error) {
 	for _, e := range exps {
 		switch {
@@ -304,4 +300,22 @@ func Run(ctx context.Context, p Params, exps ...Experiment) ([]*Result, error) {
 		results[i].Experiment = e.Name
 	}
 	return results, nil
+}
+
+// Arches runs the first benchmark p selects on every architecture (Fig. 5's
+// cells for that one benchmark) and returns the runs indexed like
+// core.Arches(). The architectures simulate in parallel under
+// p.Parallelism, each with the Observer on ctx (WithObserver) attached.
+func Arches(ctx context.Context, p Params) ([]*stats.Run, error) {
+	cfg, err := p.Config(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cfg = cfg.normalize()
+	cfg.Profiles = cfg.Profiles[:1]
+	pl, err := fig5Plan(cfg, p)
+	if err != nil {
+		return nil, err
+	}
+	return runCells(cfg, pl.cells, workload.Generate, nil)
 }

@@ -119,11 +119,11 @@ func TestRunPlansStopsOnError(t *testing.T) {
 // run one by one make 41 simulations; planned together they make the 23
 // distinct ones over 4 generated traces. rth's 0% and 5% thresholds are
 // one cell on 32 banks, and channels' 1-channel point is fig5's PCM-refresh
-// cell. WithClassCounts reports once per simulation actually run.
+// cell. An Observer's ClassCounts reports once per simulation actually run.
 func TestPlannedFigAllCounts(t *testing.T) {
 	params := Params{Requests: 1000, Bench: []string{"qsort"}}
 	var calls atomic.Int64
-	ctx := WithClassCounts(context.Background(), func([probe.NumWriteKinds]uint64) { calls.Add(1) })
+	ctx := WithObserver(context.Background(), Observer{ClassCounts: func([probe.NumWriteKinds]uint64) { calls.Add(1) }})
 	alone := map[string]int64{"fig5": 4, "fig6": 4, "fig7": 4, "rth": 6, "org": 3,
 		"pausing": 3, "code": 5, "sched": 6, "hybrid": 3, "channels": 3}
 	var exps []Experiment

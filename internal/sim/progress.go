@@ -1,39 +1,17 @@
 package sim
 
 import (
-	"context"
 	"sync/atomic"
 
 	"womcpcm/internal/trace"
 )
 
 // ProgressFunc receives running (done, total) record counts from an
-// experiment that reports progress. Callbacks may arrive concurrently from
-// the parallel per-architecture simulations, and done is a shared cumulative
-// count — consumers wanting a monotone reading should keep a max (see
-// internal/engine's job progress).
+// experiment that reports progress (Observer.Progress). Callbacks may
+// arrive concurrently from the parallel per-architecture simulations, and
+// done is a shared cumulative count — consumers wanting a monotone reading
+// should keep a max (see internal/engine's job progress).
 type ProgressFunc func(done, total int64)
-
-type progressCtxKey struct{}
-
-// WithProgress returns a context carrying f. Experiments that support
-// progress reporting (currently "replay", whose record count is known up
-// front) call f as they consume their input; other experiments ignore it.
-func WithProgress(ctx context.Context, f ProgressFunc) context.Context {
-	if f == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, progressCtxKey{}, f)
-}
-
-// progressOf extracts the ProgressFunc from ctx; nil when absent.
-func progressOf(ctx context.Context) ProgressFunc {
-	if ctx == nil {
-		return nil
-	}
-	f, _ := ctx.Value(progressCtxKey{}).(ProgressFunc)
-	return f
-}
 
 // progressStride bounds callback frequency: one report per this many records
 // per source (plus one as the source drains), so the per-record cost is a

@@ -21,7 +21,7 @@ func progressTrace(n int) []trace.Record {
 }
 
 // TestReplayProgress checks the replay experiment reports (done, total)
-// through a WithProgress context: the total is len(recs) × 4 architectures,
+// to an Observer's Progress: the total is len(recs) × 4 architectures,
 // reports are strictly increasing under Parallelism 1, and the final report
 // accounts for every record.
 func TestReplayProgress(t *testing.T) {
@@ -30,11 +30,11 @@ func TestReplayProgress(t *testing.T) {
 		mu      sync.Mutex
 		reports [][2]int64
 	)
-	ctx := WithProgress(context.Background(), func(done, total int64) {
+	ctx := WithObserver(context.Background(), Observer{Progress: func(done, total int64) {
 		mu.Lock()
 		reports = append(reports, [2]int64{done, total})
 		mu.Unlock()
-	})
+	}})
 	cfg := ExpConfig{Requests: len(recs), Parallelism: 1, Ctx: ctx}
 	if _, err := Replay(cfg, "progress", recs); err != nil {
 		t.Fatal(err)

@@ -31,12 +31,11 @@ type ReplayResult struct {
 // Replay simulates recs on every architecture. The record slice is replayed
 // verbatim for each architecture so all four see identical input; cfg's
 // Requests field bounds the replay length when positive. Architectures run
-// in parallel under cfg.Parallelism and honor cfg.Ctx. When cfg.Ctx carries
-// a ProgressFunc (WithProgress), the replay reports records processed out of
-// len(recs) × 4 as the architectures consume their sources. When it carries
-// a TelemetryFunc (WithTelemetry), each architecture streams finalized
-// telemetry windows as its simulated clock advances; a ClassCountsFunc
-// (WithClassCounts) receives per-architecture write-class totals.
+// in parallel under cfg.Parallelism and honor cfg.Ctx. Replay is the run
+// that feeds an Observer's Progress and Telemetry (WithObserver): progress
+// counts records processed out of len(recs) × 4 as the architectures
+// consume them, and each architecture streams finalized telemetry windows
+// as its simulated clock advances.
 func Replay(cfg ExpConfig, label string, recs []trace.Record) (*ReplayResult, error) {
 	cfg = cfg.normalize()
 	if err := trace.Validate(recs); err != nil {
@@ -46,7 +45,6 @@ func Replay(cfg ExpConfig, label string, recs []trace.Record) (*ReplayResult, er
 		recs = recs[:cfg.Requests]
 	}
 	arches := core.Arches()
-	progress := progressOf(cfg.Ctx)
 	var done atomic.Int64
 	total := int64(len(recs)) * int64(len(arches))
 	res := &ReplayResult{
@@ -61,8 +59,8 @@ func Replay(cfg ExpConfig, label string, recs []trace.Record) (*ReplayResult, er
 		if err != nil {
 			return err
 		}
-		src := newProgressSource(trace.NewSliceSource(recs), &done, total, progress)
-		res.Runs[i], err = runCell(cfg.Ctx, cell{cfg: mc, prof: workload.Profile{Name: label}}, recs, src, arches[i].String(), new(memctrl.Controller))
+		rep := &replayArch{label: arches[i].String(), done: &done, total: total}
+		res.Runs[i], err = runCell(cfg.Ctx, cell{cfg: mc, prof: workload.Profile{Name: label}}, recs, rep, new(memctrl.Controller))
 		return err
 	}); err != nil {
 		return nil, err

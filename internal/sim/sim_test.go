@@ -312,3 +312,31 @@ func TestChannelScaling(t *testing.T) {
 		t.Error("render broken")
 	}
 }
+
+// TestCodeBoundEveryProfile checks §3.2's bound per benchmark rather than
+// on the mean: on every profile, at every rewrite budget of the code
+// ablation, WOM-code PCM's normalized write latency is at least
+// (k−1+S)/(kS). A profile under the bound means the timing model lets a
+// write finish faster than the code allows.
+func TestCodeBoundEveryProfile(t *testing.T) {
+	rewrites := []int{1, 2, 4, 8}
+	for _, seed := range []int64{1, 7919} {
+		cfg := ExpConfig{Requests: 20000, Seed: seed}.normalize()
+		pl := codePlan(cfg, rewrites)
+		runs, err := runCells(cfg, pl.cells, workload.Generate, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := len(rewrites) + 1
+		for p, prof := range cfg.Profiles {
+			row := runs[p*stride : (p+1)*stride]
+			for i, k := range rewrites {
+				w, _ := row[i+1].Normalized(row[0])
+				if bound := codeBound(k, cfg.Timing); w < bound-1e-9 {
+					t.Errorf("seed %d, %s, k=%d: normalized write %.4f beats the bound %.4f",
+						seed, prof.Name, k, w, bound)
+				}
+			}
+		}
+	}
+}

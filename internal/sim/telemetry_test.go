@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"womcpcm/internal/core"
+	"womcpcm/internal/memctrl"
 	"womcpcm/internal/pcm"
 	"womcpcm/internal/probe"
+	"womcpcm/internal/stats"
 	"womcpcm/internal/telemetry"
 	"womcpcm/internal/trace"
 	"womcpcm/internal/workload"
 )
 
 // TestReplayTelemetry checks the replay experiment streams windowed
-// telemetry through a WithTelemetry context: all four architectures report,
+// telemetry to an Observer's Telemetry: all four architectures report,
 // windows of one architecture arrive in index order, and the write-class
 // totals match the replayed writes.
 func TestReplayTelemetry(t *testing.T) {
@@ -25,11 +27,11 @@ func TestReplayTelemetry(t *testing.T) {
 		windows = map[string][]telemetry.Window{}
 	)
 	const windowNs = 10_000
-	ctx := WithTelemetry(context.Background(), func(arch string, w telemetry.Window) {
+	ctx := WithObserver(context.Background(), Observer{Telemetry: func(arch string, w telemetry.Window) {
 		mu.Lock()
 		windows[arch] = append(windows[arch], w)
 		mu.Unlock()
-	}, windowNs)
+	}, TelemetryWindowNs: windowNs})
 	cfg := ExpConfig{Requests: len(recs), Ctx: ctx}
 	res, err := Replay(cfg, "telemetry", recs)
 	if err != nil {
@@ -84,20 +86,20 @@ func TestReplayTelemetry(t *testing.T) {
 	}
 }
 
-// TestReplayClassCounts checks WithClassCounts delivers per-architecture
-// write-class totals: four callbacks (one per architecture), each summing to
-// at least the replayed demand writes.
+// TestReplayClassCounts checks an Observer's ClassCounts receives
+// per-architecture write-class totals: four callbacks (one per
+// architecture), each summing to at least the replayed demand writes.
 func TestReplayClassCounts(t *testing.T) {
 	recs := progressTrace(2000)
 	var (
 		mu    sync.Mutex
 		calls [][probe.NumWriteKinds]uint64
 	)
-	ctx := WithClassCounts(context.Background(), func(c [probe.NumWriteKinds]uint64) {
+	ctx := WithObserver(context.Background(), Observer{ClassCounts: func(c [probe.NumWriteKinds]uint64) {
 		mu.Lock()
 		calls = append(calls, c)
 		mu.Unlock()
-	})
+	}})
 	if _, err := Replay(ExpConfig{Requests: len(recs), Ctx: ctx}, "classes", recs); err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +117,8 @@ func TestReplayClassCounts(t *testing.T) {
 	}
 }
 
-// TestRunArchClassCounts checks that every registry experiment honors
-// WithClassCounts and WithSimEvents: the womd /metrics write-class feed and
+// TestRunArchClassCounts checks that every registry experiment honors an
+// Observer's ClassCounts and Events: the womd /metrics write-class feed and
 // the slow-job monitor's live event rate must cover every job type. replay
 // needs an uploaded trace; TestReplayClassCounts covers it.
 func TestRunArchClassCounts(t *testing.T) {
@@ -134,14 +136,13 @@ func TestRunArchClassCounts(t *testing.T) {
 				writes uint64
 				events atomic.Int64
 			)
-			ctx := WithClassCounts(context.Background(), func(c [probe.NumWriteKinds]uint64) {
+			ctx := WithObserver(context.Background(), Observer{ClassCounts: func(c [probe.NumWriteKinds]uint64) {
 				mu.Lock()
 				for _, n := range c {
 					writes += n
 				}
 				mu.Unlock()
-			})
-			ctx = WithSimEvents(ctx, &events)
+			}, Events: &events})
 			params := Params{Requests: 2000, Seed: 1, Bench: []string{"qsort"}}
 			if exp.NeedsProfile {
 				params.Bench, params.Profile = nil, &qsort
@@ -162,7 +163,7 @@ func TestRunArchClassCounts(t *testing.T) {
 // BenchmarkReplayTelemetry prices the telemetry plane where womd pays it: a
 // replay job's four simulations over a 50k-record FFT trace at the paper's
 // default geometry (16 ranks × 32 banks plus cache arrays), one worker,
-// without ("off") and with ("on") WithTelemetry. The gap between the two is
+// without ("off") and with ("on") an Observer's Telemetry. The gap between the two is
 // the enabled-path cost (make bench-probe).
 func BenchmarkReplayTelemetry(b *testing.B) {
 	p, err := workload.ProfileByName("FFT")
@@ -179,7 +180,7 @@ func BenchmarkReplayTelemetry(b *testing.B) {
 		ctx  context.Context
 	}{
 		{"off", context.Background()},
-		{"on", WithTelemetry(context.Background(), func(string, telemetry.Window) { windows++ }, 0)},
+		{"on", WithObserver(context.Background(), Observer{Telemetry: func(string, telemetry.Window) { windows++ }})},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := ExpConfig{Requests: len(recs), Parallelism: 1, Ctx: bc.ctx}
@@ -193,5 +194,55 @@ func BenchmarkReplayTelemetry(b *testing.B) {
 	}
 	if windows == 0 {
 		b.Fatal("telemetry produced no windows")
+	}
+}
+
+// TestObserverWrappers checks WithTelemetry and WithClassCounts set their
+// fields on the Observer already on the context and keep the others.
+func TestObserverWrappers(t *testing.T) {
+	var events atomic.Int64
+	ctx := WithObserver(context.Background(), Observer{Events: &events})
+	ctx = WithTelemetry(ctx, func(string, telemetry.Window) {}, 500)
+	ctx = WithClassCounts(ctx, func([probe.NumWriteKinds]uint64) {})
+	o := observerOf(ctx)
+	if o.Events != &events || o.Telemetry == nil || o.TelemetryWindowNs != 500 || o.ClassCounts == nil {
+		t.Errorf("observer after the wrappers = %+v", o)
+	}
+	if o := observerOf(context.Background()); o.Events != nil || o.Telemetry != nil || o.ClassCounts != nil {
+		t.Errorf("bare context observer = %+v, want the zero Observer", o)
+	}
+}
+
+// TestArchesAttach checks Arches runs the first selected benchmark once on
+// each architecture, returns the runs in core.Arches() order, and hands
+// each simulation's architecture name and finished run to Observer.Attach.
+func TestArchesAttach(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		seen = map[string]*stats.Run{}
+	)
+	ctx := WithObserver(context.Background(), Observer{
+		Attach: func(arch string, _ memctrl.Config) ([]probe.Sink, func(*stats.Run)) {
+			return []probe.Sink{probe.NewCounterSink()}, func(run *stats.Run) {
+				mu.Lock()
+				seen[arch] = run
+				mu.Unlock()
+			}
+		},
+	})
+	runs, err := Arches(ctx, Params{Requests: 2000, Bench: []string{"qsort", "FFT"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != len(core.Arches()) || len(seen) != len(core.Arches()) {
+		t.Fatalf("%d runs, %d attached, want %d each", len(runs), len(seen), len(core.Arches()))
+	}
+	for i, a := range core.Arches() {
+		if runs[i].Arch != a.String() || runs[i].Workload != "qsort" {
+			t.Errorf("run %d is %s / %s, want %s / qsort", i, runs[i].Arch, runs[i].Workload, a)
+		}
+		if seen[a.String()] != runs[i] {
+			t.Errorf("%s: Attach received a different run", a)
+		}
 	}
 }
